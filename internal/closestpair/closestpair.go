@@ -60,7 +60,8 @@ func (g *seqGrid) insert(pts []geom.Point, i int32) {
 
 // nearest returns the minimum distance from pts[i] to earlier points in the
 // 3x3 neighborhood, and the index achieving it (-1 when the neighborhood is
-// empty). checks counts distance evaluations.
+// empty; the smallest such index on ties). checks counts distance
+// evaluations.
 func (g *seqGrid) nearest(pts []geom.Point, i int32, checks *int64) (float64, int32) {
 	qx, qy := quantize(pts[i], g.r)
 	best, bestJ := math.Inf(1), int32(-1)
@@ -68,7 +69,7 @@ func (g *seqGrid) nearest(pts []geom.Point, i int32, checks *int64) (float64, in
 		for dy := int64(-1); dy <= 1; dy++ {
 			for _, j := range g.cells[cellKey(qx+dx, qy+dy)] {
 				*checks++
-				if d := geom.Dist(pts[i], pts[j]); d < best {
+				if d := geom.Dist(pts[i], pts[j]); d < best || d == best && j < bestJ {
 					best, bestJ = d, j
 				}
 			}

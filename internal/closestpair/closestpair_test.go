@@ -130,8 +130,6 @@ func TestGridCellOccupancy(t *testing.T) {
 	pts := uniqPoints(123, 5000)
 	res, _ := Incremental(pts)
 	g := newSeqGrid(res.Dist, len(pts))
-	var checks int64
-	_ = checks
 	for i := range pts {
 		g.insert(pts, int32(i))
 	}

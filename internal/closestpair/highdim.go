@@ -64,40 +64,36 @@ func neighborKeysD(p PointD, r float64, buf []uint64) []uint64 {
 	}
 }
 
-// gridD is the d-dimensional concurrent grid. Hash collisions between
-// distinct cells are tolerated: a colliding cell only adds candidates to
-// scan, never hides one, because the owning cell of any point within
-// distance < r is among the 3^d neighbors and hashing is deterministic.
+// gridD is the d-dimensional grid, sequential and parallel alike. Hash
+// collisions between distinct cells are tolerated: a colliding cell only
+// adds candidates to scan, never hides one, because the owning cell of any
+// point within distance < r is among the 3^d neighbors and hashing is
+// deterministic.
 type gridD struct {
-	r     float64
-	cells *hashtable.LockFree[uint64, []int32]
+	r float64
+	cellChains
 }
 
-func newGridD(r float64, capacity int) *gridD {
-	// cellKeyD is already FNV-mixed, and the lock-free table applies its
-	// own finalizing mix, so the identity hasher is safe here.
-	return &gridD{r: r, cells: hashtable.NewLockFree[uint64, []int32](capacity,
-		func(k uint64) uint64 { return k })}
+func newGridD(r float64, next []int32, cells int) *gridD {
+	return &gridD{r: r, cellChains: newCellChains(next, cells)}
 }
 
 func (g *gridD) insert(pts []PointD, i int32) {
-	// Copy-on-write append, as the lock-free Update contract requires.
-	g.cells.Update(cellKeyD(pts[i], g.r), func(old []int32, _ bool) []int32 {
-		return appendCell(old, i)
-	})
+	g.cellChains.insert(cellKeyD(pts[i], g.r), i)
 }
 
+// nearestBefore is parGrid.nearestBefore over the 3^d neighborhood, with
+// the same smallest-index tie-break.
 func (g *gridD) nearestBefore(pts []PointD, i int32, buf []uint64, checks *int64) (float64, int32, []uint64) {
 	buf = neighborKeysD(pts[i], g.r, buf)
 	best, bestJ := math.Inf(1), int32(-1)
 	for _, k := range buf {
-		cell, _ := g.cells.Load(k)
-		for _, j := range cell {
+		for j := g.head(k); j >= 0; j = g.next[j] {
 			if j >= i {
 				continue
 			}
 			*checks++
-			if d := DistD(pts[i], pts[j]); d < best {
+			if d := DistD(pts[i], pts[j]); d < best || d == best && j < bestJ {
 				best, bestJ = d, j
 			}
 		}
@@ -116,7 +112,9 @@ func IncrementalD(pts []PointD) (Result, Stats) {
 	res := Result{I: 0, J: 1, Dist: DistD(pts[0], pts[1])}
 	st.DistChecks++
 	st.Special++
-	g := newGridD(res.Dist, n)
+	// Tables are sized as in ParIncremental; the chain array is shared.
+	next := make([]int32, n)
+	g := newGridD(res.Dist, next, 4)
 	g.insert(pts, 0)
 	g.insert(pts, 1)
 	var buf []uint64
@@ -127,7 +125,7 @@ func IncrementalD(pts []PointD) (Result, Stats) {
 		if d < res.Dist {
 			st.Special++
 			res = Result{I: int(j), J: i, Dist: d}
-			g = newGridD(d, n)
+			g = newGridD(d, next, 2*(i+1))
 			for k := 0; k <= i; k++ {
 				g.insert(pts, int32(k))
 			}
@@ -153,12 +151,13 @@ func ParIncrementalD(pts []PointD) (Result, Stats) {
 	res := Result{I: 0, J: 1, Dist: DistD(pts[0], pts[1])}
 	st.DistChecks++
 	st.Special++
-	g := newGridD(res.Dist, n)
+	next := make([]int32, n)
+	g := newGridD(res.Dist, next, 4)
 	g.insert(pts, 0)
 	g.insert(pts, 1)
 
 	rebuild := func(upto int) {
-		g = newGridD(res.Dist, n)
+		g = newGridD(res.Dist, next, 2*(upto+1))
 		// Inserts are cheap and uniform: grain 128 (see parallel.go — claim
 		// traffic is lane-local on the stealing pool).
 		parallel.ForGrain(0, upto+1, 128, func(k int) { g.insert(pts, int32(k)) })

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/parallel"
@@ -9,8 +10,8 @@ import (
 // ParReachFrom is the parallel counterpart of ReachFrom: a
 // frontier-synchronous reachability search (parallel BFS) from src,
 // restricted to vertices with in(u) true, in the forward or backward
-// direction. It returns the reached vertices (src first, then in discovery
-// rounds) and the number of edges scanned.
+// direction. It returns the reached vertices (src first, then round by
+// round in increasing vertex order) and the number of edges scanned.
 //
 // This realizes the paper's reachability black box with depth
 // D_R = O(diameter) instead of the sequential search's O(reached): the
@@ -47,8 +48,9 @@ func ParReachFromCancel(g *Graph, src int, forward bool, in func(u int) bool, c 
 		// chunks small because per-vertex cost is the (skewed) degree;
 		// thieves split the ranges holding the heavy vertices, and the
 		// finer grain costs only lane-local claims on the stealing pool.
-		// Writing through the block index keeps the next frontier in
-		// deterministic block order.
+		// Which block wins a vertex's claim depends on the schedule, but
+		// the set of vertices the round claims does not, so sorting the
+		// next frontier makes the visit order deterministic.
 		nb := parallel.NumBlocks(len(frontier), 8)
 		nexts := make([][]int32, nb)
 		if err := parallel.BlocksNCancel(0, len(frontier), nb, c, func(bi, lo, hi int) {
@@ -78,6 +80,7 @@ func ParReachFromCancel(g *Graph, src int, forward bool, in func(u int) bool, c 
 		for _, l := range nexts {
 			frontier = append(frontier, l...)
 		}
+		slices.Sort(frontier)
 		visited = append(visited, frontier...)
 	}
 	return visited, edges.Load(), canceledErr(c)

@@ -89,12 +89,6 @@ func runCancelGrowthStress(t *testing.T, mk func() Table[int, int]) {
 	}
 }
 
-func TestLockFreeCancelDuringGrowth(t *testing.T) {
-	runCancelGrowthStress(t, func() Table[int, int] {
-		return NewLockFree[int, int](16, intHasher)
-	})
-}
-
 func TestLockFreeInlineCancelDuringGrowth(t *testing.T) {
 	runCancelGrowthStress(t, func() Table[int, int] {
 		return NewLockFreeInline[int, int](16, intHasher,

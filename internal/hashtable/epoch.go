@@ -12,17 +12,16 @@ import (
 // each committed round boundary calls AdvanceEpoch — a phase operation
 // that drives any in-flight migration to completion (so the root is a
 // flat array) and bumps the table's epoch counter. Reader goroutines take
-// snapshots at any time; for the lock-free tables a snapshot is O(1) — it
+// snapshots at any time; for the lock-free table a snapshot is O(1) — it
 // pins the current root table and registers its epoch with the table's
 // reclamation registry.
 //
 // What a snapshot guarantees, precisely:
 //
-//   - Every read is torn-free. Snap.Load/Range on the inline table go
+//   - Every read is torn-free. Snap.Load/Range on the lock-free table go
 //     through the validated seqlock read (load meta, words, meta again),
-//     and on the box table through immutable box pointers, so a reader
-//     can never observe half of a two-word write — even while writers
-//     storm the same slots.
+//     so a reader can never observe half of a two-word write — even while
+//     writers storm the same slots.
 //   - Reads are *regular*: a Load returns the value of some committed
 //     write no older than the snapshot point (never an older one, never a
 //     torn one). Writes that land after the snapshot MAY be visible —
@@ -57,7 +56,7 @@ type Snap[K comparable, V any] interface {
 }
 
 // epochCore is the per-table epoch counter plus the deferred-reclamation
-// registry for superseded slot arrays. It is embedded in all three Table
+// registry for superseded slot arrays. It is embedded in both Table
 // implementations; the zero value is ready to use.
 type epochCore struct {
 	epoch atomic.Uint64
@@ -172,7 +171,7 @@ func (s *snapRef) Close() {
 }
 
 // phaseDebug is the ridtdebug-tag phase-violation detector. The lock-free
-// tables' bulk operations (Len, Range, RangePar, Clear, Reserve, Flatten,
+// table's bulk operations (Len, Range, Clear, Reserve, Flatten,
 // AdvanceEpoch) are phase operations: running one concurrently with a
 // mutator corrupts silently (torn sweeps, lost writes behind a Clear).
 // Under `-tags ridtdebug` every mutator entry/exit maintains an atomic

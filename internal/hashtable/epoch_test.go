@@ -1,7 +1,7 @@
 package hashtable
 
 // Tests for the epoch/snapshot layer (epoch.go): snapshot semantics
-// across all three implementations against the frozen mapSnap oracle,
+// across both implementations against the frozen mapSnap oracle,
 // the regular-read guarantee, deferred reclamation of superseded slot
 // arrays, the round-prefix completeness of boundary snapshots, the
 // torn-read pins for the seqlock-validated Range/Len/snapshot paths
@@ -21,9 +21,8 @@ import (
 func snapImpls() map[string]func() Table[int, int] {
 	hash := func(k int) uint64 { return Mix64(uint64(k)) }
 	return map[string]func() Table[int, int]{
-		"map":      func() Table[int, int] { return New[int, int](8, 64, hash) },
-		"lockfree": func() Table[int, int] { return NewLockFree[int, int](4, hash) },
-		"inline":   func() Table[int, int] { return NewLockFreeInline[int, int](4, hash, EncInt, DecInt) },
+		"map":    func() Table[int, int] { return New[int, int](8, 64, hash) },
+		"inline": func() Table[int, int] { return NewLockFreeInline[int, int](4, hash, EncInt, DecInt) },
 	}
 }
 
@@ -269,8 +268,7 @@ func TestSnapshotRoundPrefix(t *testing.T) {
 	}
 	hash := func(k int) uint64 { return Mix64(uint64(k)) }
 	impls := map[string]Table[int, int]{
-		"lockfree": NewLockFree[int, int](4, hash),
-		"inline":   NewLockFreeInline[int, int](4, hash, EncInt, DecInt),
+		"inline": NewLockFreeInline[int, int](4, hash, EncInt, DecInt),
 	}
 	for name, h := range impls {
 		t.Run(name, func(t *testing.T) {
@@ -345,8 +343,7 @@ func TestDeferredReclamation(t *testing.T) {
 		Table[int, int]
 		retiredCount() int
 	}{
-		"lockfree": NewLockFree[int, int](2, hash),
-		"inline":   NewLockFreeInline[int, int](2, hash, EncInt, DecInt),
+		"inline": NewLockFreeInline[int, int](2, hash, EncInt, DecInt),
 	} {
 		t.Run(name, func(t *testing.T) {
 			for i := 0; i < 16; i++ {
@@ -421,39 +418,27 @@ func TestPhaseViolationDetector(t *testing.T) {
 		t.Skip("phase detector compiled out; run with -tags ridtdebug")
 	}
 	hash := func(k int) uint64 { return Mix64(uint64(k)) }
-	lf := NewLockFree[int, int](4, hash)
-	in := NewLockFreeInline[int, int](4, hash, EncInt, DecInt)
-	for name, tc := range map[string]struct {
-		h   Table[int, int]
-		mut *phaseDebug
-	}{
-		"lockfree": {lf, &lf.phaseDebug},
-		"inline":   {in, &in.phaseDebug},
-	} {
-		t.Run(name, func(t *testing.T) {
-			h, mut := tc.h, tc.mut
-			h.Store(1, 1)
-			mut.muts.Add(1) // simulate a mutator parked mid-flight
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("Len with a mutator in flight did not panic")
-					}
-				}()
-				h.Len()
-			}()
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("AdvanceEpoch with a mutator in flight did not panic")
-					}
-				}()
-				h.AdvanceEpoch()
-			}()
-			mut.muts.Add(-1)
-			if h.Len() != 1 { // quiesced again: phase ops run fine
-				t.Error("Len wrong after quiesce")
+	h := NewLockFreeInline[int, int](4, hash, EncInt, DecInt)
+	h.Store(1, 1)
+	h.muts.Add(1) // simulate a mutator parked mid-flight
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Len with a mutator in flight did not panic")
 			}
-		})
+		}()
+		h.Len()
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AdvanceEpoch with a mutator in flight did not panic")
+			}
+		}()
+		h.AdvanceEpoch()
+	}()
+	h.muts.Add(-1)
+	if h.Len() != 1 { // quiesced again: phase ops run fine
+		t.Error("Len wrong after quiesce")
 	}
 }

@@ -2,23 +2,21 @@
 // Delaunay face map, the closest-pair grids, and the SCC combine.
 //
 // The paper's parallel algorithms assume a work-efficient parallel hash
-// table (Gil, Matias & Vishkin). Three implementations of the shared Table
-// interface are provided: LockFree, a growable phase-concurrent
+// table (Gil, Matias & Vishkin). Two implementations of the shared Table
+// interface are provided: LockFreeInline, a growable phase-concurrent
 // open-addressing table (CAS-claimed linear-probing slots, cooperative
-// migration) for arbitrary value types; LockFreeInline, the same protocol
-// with seqlock inline value slots for small POD values (no value-box
-// allocation on writes — the Delaunay face map and SCC minima use it); and
-// Map, a sharded mutex map kept as the reference implementation and
-// equivalence-test oracle. DESIGN.md in this directory has the full
-// protocol and the ablations.
+// migration) whose values live inline in seqlock-guarded slots, so no
+// write allocates — every consumer runs on it; and Map, a sharded mutex
+// map kept as the reference implementation and equivalence-test oracle.
+// DESIGN.md in this directory has the full protocol and the ablations.
 package hashtable
 
 import "sync"
 
 // Table is the operation set the consumers program against; Map and
-// LockFree both implement it. Update-style callbacks must be pure for
-// LockFree (they may be retried; see LockFree's doc comment), and the bulk
-// operations Len/Range/Clear are phase operations on LockFree.
+// LockFreeInline both implement it. Update-style callbacks must be pure for
+// LockFreeInline (they may be re-run; see its doc comment), and the bulk
+// operations Len/Range/Clear are phase operations on it.
 type Table[K comparable, V any] interface {
 	Load(k K) (V, bool)
 	Store(k K, v V)
@@ -43,13 +41,12 @@ type Table[K comparable, V any] interface {
 	AdvanceEpoch() uint64
 	// Snapshot opens a read-only view that stays torn-free and valid
 	// while mutators keep running; see Snap for the exact guarantees.
-	// O(1) on the lock-free tables, a frozen copy on Map.
+	// O(1) on the lock-free table, a frozen copy on Map.
 	Snapshot() Snap[K, V]
 }
 
 var (
 	_ Table[int, int] = (*Map[int, int])(nil)
-	_ Table[int, int] = (*LockFree[int, int])(nil)
 	_ Table[int, int] = (*LockFreeInline[int, int])(nil)
 )
 
@@ -142,7 +139,7 @@ func (m *Map[K, V]) Update(k K, f func(old V, ok bool) V) {
 // untouched — no write, and no insert for an absent key. It is the op to
 // use for pruned min/max-writes and other read-mostly read-modify-writes:
 // on the no-op path the lock-free implementation stays read-only and
-// allocates no value box.
+// claims no slot.
 func (m *Map[K, V]) UpdateIf(k K, f func(old V, ok bool) (V, bool)) {
 	s := m.shardFor(k)
 	s.mu.Lock()

@@ -8,23 +8,30 @@ import (
 	"repro/internal/parallel"
 )
 
-// This file implements the seqlock inline-slot variant of the lock-free
-// table (the ROADMAP "seqlock inline value slots for small PODs" item).
-// The box-based LockFree table allocates an immutable value box per
-// effective write; for small plain-old-data values (the Delaunay
-// faceEntry, the SCC int32 minima) that box is the entire single-core
-// write cost. LockFreeInline stores the value inline in the slot instead:
-// two 64-bit words guarded by a per-slot seqlock, so winning
-// Store/Update/UpdateIf writes allocate nothing at all.
+// This file implements the lock-free growable table. See DESIGN.md for the
+// full protocol and the ablation against the sharded Map.
 //
-// The table protocol — CAS-claimed linear-probing slots, value-level
-// tombstones, cooperative chunk-claimed migration with poisoned empty
-// slots and ghost freezing — is a faithful port of lockfree.go with the
-// box pointer replaced by the seqlock cell; see DESIGN.md for the shared
-// protocol and the differences.
+// Layout: open addressing with linear probing. A slot is claimed for a key
+// with a CAS on its state word (empty -> busy -> full); once full, a slot's
+// key never changes and the slot is never freed, so probe chains only grow
+// and a probe that reaches an empty slot has proven absence. Deletion is a
+// value-level tombstone that keeps the probe chain intact. The value lives
+// inline in the slot: two 64-bit words guarded by a per-slot seqlock (the
+// codec maps V to and from them), so no write allocates.
+//
+// Growth: when the claim count passes the load limit, a larger table is
+// linked via next and every thread that touches the table helps migrate:
+// migration chunks are claimed with an atomic counter (the same dynamic
+// self-scheduling as the parallel pool), empty slots are poisoned
+// (empty -> moved) so late inserts cannot land behind the sweep, and full
+// slots are frozen under their write lock, after which the frozen value is
+// installed into the next table if the key has no published state there.
+// Any operation that meets a frozen slot first completes that key's
+// migration itself, so no update can be lost between freeze and install.
+// When the last chunk finishes, the root pointer advances.
 //
 // Seqlock cell. Each full slot carries a 32-bit meta word and two value
-// words (w0, w1; the codec maps V to and from them):
+// words (w0, w1):
 //
 //   - Readers load meta, then the words, then meta again; a stable,
 //     unlocked meta means the words are a consistent snapshot.
@@ -35,24 +42,44 @@ import (
 //     lets an update callback run exactly once, after the migration
 //     check, with no CAS-retry purity hazards; readers never block
 //     writers and spin only while a write is in flight (the same bounded
-//     window as the slotBusy spin in the box table). All word accesses
-//     are atomic loads/stores, so the seqlock is race-detector clean.
+//     window as the slotBusy spin). All word accesses are atomic
+//     loads/stores, so the seqlock is race-detector clean.
 //
 // The sequence field wraps after 2^27 writes to one slot; a reader would
 // have to sleep across exactly that many writes to be fooled (the
 // standard seqlock caveat, irrelevant at these lifetimes).
+
+// Slot states. Transitions: empty -> busy -> full (claim), and
+// empty -> moved (migration poisoning). full slots stay full; their
+// migration status lives in the meta word.
+const (
+	slotEmpty uint32 = iota
+	slotBusy         // key being published by a claimer
+	slotFull         // key readable; meta holds the rest of the state
+	slotMoved        // poisoned empty slot: key absent here, look in next
+)
+
+// Meta word flags. A ghost is the freeze of a claimed slot whose value had
+// not been published yet: unlike a frozen tombstone (imDel, no imGhost), a
+// ghost says the key was never present in this table, so a pending
+// install for it must carry on to the next table rather than be dropped.
 const (
 	imLock  uint32 = 1 << 0 // writer (or freezer) holds the slot
 	imHas   uint32 = 1 << 1 // a value or tombstone has been published
 	imDel   uint32 = 1 << 2 // tombstone: key present in chain, mapping absent
 	imMoved uint32 = 1 << 3 // frozen by migration; words never change again
-	imGhost uint32 = 1 << 4 // frozen with no published value (see lockfree.go)
+	imGhost uint32 = 1 << 4 // frozen with no published value
 	imFlags uint32 = imLock | imHas | imDel | imMoved | imGhost
 	imSeq   uint32 = 1 << 5 // lowest sequence bit; bumped on every publish
 )
 
+// migrateChunk is the number of slots one migration claim covers; small
+// enough that per-operation helpers finish a chunk quickly, large enough to
+// amortize the claim.
+const migrateChunk = 256
+
 type inSlot[K comparable] struct {
-	state  atomic.Uint32 // slotEmpty/slotBusy/slotFull/slotMoved, as in lockfree.go
+	state  atomic.Uint32 // slotEmpty/slotBusy/slotFull/slotMoved
 	meta   atomic.Uint32 // seqlock word: sequence | flags
 	key    K
 	w0, w1 atomic.Uint64 // encoded value, valid per the meta protocol
@@ -111,12 +138,12 @@ func (sl *inSlot[K]) publish(m, flags uint32) {
 type inTable[K comparable] struct {
 	slots  []inSlot[K]
 	mask   uint64
-	limit  int64
-	claims atomic.Int64
+	limit  int64        // claim count that triggers growth (3/4 of capacity)
+	claims atomic.Int64 // slots ever claimed (live + tombstoned keys)
 
 	next     atomic.Pointer[inTable[K]]
-	migClaim atomic.Int64
-	migDone  atomic.Int64
+	migClaim atomic.Int64 // next unclaimed migration chunk
+	migDone  atomic.Int64 // chunks fully migrated
 	nchunks  int64
 }
 
@@ -133,10 +160,11 @@ func newInTable[K comparable](capacity int) *inTable[K] {
 	}
 }
 
-// LockFreeInline is the inline-slot variant of LockFree for values that
-// encode into two 64-bit words (small PODs). Same concurrency contract as
-// LockFree: any mix of per-key operations from any number of goroutines,
-// including across a growth; Len/Range/Clear/Reserve are phase operations.
+// LockFreeInline is a lock-free, growable, phase-concurrent hash table for
+// values that encode into two 64-bit words (small PODs). Any mix of
+// per-key operations may run from any number of goroutines, including
+// across a growth; the bulk operations (Len, Range, Clear, Reserve) are
+// phase operations that must not run concurrently with mutators.
 // Update-style callbacks run exactly once per call, under the slot's write
 // lock, but must still be pure (they may be re-invoked when a migration
 // forces the operation to restart in the next table before the callback's
@@ -162,9 +190,14 @@ func NewLockFreeInline[K comparable, V any](capacity int, hash Hasher[K],
 	return h
 }
 
+// hashOf applies a final mix so weak hashers (identity on already-spread
+// keys) still probe well in the low bits.
 func (h *LockFreeInline[K, V]) hashOf(k K) uint64 { return Mix64(h.hash(k)) }
 
-// inFindRead probes t for k without claiming; same contract as findRead.
+// inFindRead probes t for k without claiming. It returns the slot holding
+// k, or nil with descend=false when k is provably absent from t, or nil
+// with descend=true when the probe hit a poisoned slot (k's state lives in
+// t.next).
 //
 //ridt:noalloc
 func inFindRead[K comparable](t *inTable[K], k K, hv uint64) (s *inSlot[K], descend bool) {
@@ -175,7 +208,7 @@ func inFindRead[K comparable](t *inTable[K], k K, hv uint64) (s *inSlot[K], desc
 			case slotEmpty:
 				return nil, false
 			case slotBusy:
-				runtime.Gosched()
+				runtime.Gosched() // claimer is publishing the key; tiny window
 				continue
 			case slotMoved:
 				return nil, true
@@ -187,11 +220,14 @@ func inFindRead[K comparable](t *inTable[K], k K, hv uint64) (s *inSlot[K], desc
 			break
 		}
 	}
+	// Probed every slot without an empty: treat as a full table (can only
+	// happen transiently at extreme load); the key is not here.
 	return nil, false
 }
 
-// findClaim probes t for k, claiming the first empty slot if k is absent;
-// same contract as the box table's findClaim.
+// findClaim probes t for k, claiming the first empty slot if k is absent.
+// ok=false with descend=true means the probe hit a poisoned slot; ok=false
+// with descend=false means the table is over-full and must grow.
 //
 //ridt:noalloc
 func (h *LockFreeInline[K, V]) findClaim(t *inTable[K], k K, hv uint64) (s *inSlot[K], descend, ok bool) {
@@ -255,9 +291,8 @@ func (h *LockFreeInline[K, V]) helpMigrateCtl(t *inTable[K], maxChunks int, inje
 		return
 	}
 	for done := 0; maxChunks <= 0 || done < maxChunks; done++ {
-		// Pre-claim fault site, as in LockFree.helpMigrate: a panic after
-		// the claim would strand the chunk and hang flatten; before it, the
-		// protocol is untouched.
+		// Pre-claim fault site: a panic after the claim would strand the
+		// chunk and hang flatten; before it, the protocol is untouched.
 		if inject && fault.Enabled {
 			fault.Inject(fault.TableMigrate)
 		}
@@ -317,8 +352,8 @@ func (h *LockFreeInline[K, V]) migrateSlot(sl *inSlot[K], nt *inTable[K]) {
 }
 
 // installFrozen writes a frozen value for k into nt, only if k has no
-// published state there yet; the exactly-once discipline of the box
-// table's installFrozen, with "no box" spelled "imHas clear".
+// published state there yet (imHas clear), so a newer write that already
+// raced ahead wins and each value is installed at most once.
 func (h *LockFreeInline[K, V]) installFrozen(nt *inTable[K], k K, a, b uint64) {
 	hv := h.hashOf(k)
 	for {
@@ -412,9 +447,16 @@ func (h *LockFreeInline[K, V]) loadFrom(t *inTable[K], k K) (V, bool) {
 	return zero, false
 }
 
-// loadAfterFreeze mirrors the box table's loadAfterFreeze: it
-// distinguishes "not migrated yet" from "present" and "deleted since",
-// chasing nested migrations.
+type loadStatus int
+
+const (
+	loadMiss    loadStatus = iota // no published state: key never reached these tables
+	loadHit                       // live value found
+	loadDeleted                   // tombstone found: key definitively absent
+)
+
+// loadAfterFreeze distinguishes "not migrated yet" (miss) from "present"
+// and "deleted since migration", chasing nested migrations.
 func (h *LockFreeInline[K, V]) loadAfterFreeze(t *inTable[K], k K, hv uint64) (V, loadStatus) {
 	var zero V
 	for t != nil {
@@ -553,8 +595,7 @@ func (h *LockFreeInline[K, V]) Delete(k K) {
 }
 
 // Update applies f to the current value for k and stores the result.
-// Winning writes allocate nothing (no value box). Same purity contract as
-// the box table's Update.
+// Winning writes allocate nothing. f must be pure (see LockFreeInline).
 func (h *LockFreeInline[K, V]) Update(k K, f func(old V, ok bool) V) {
 	h.apply(k, func(old V, present bool) (V, bool) {
 		return f(old, present), true
@@ -598,9 +639,11 @@ func (h *LockFreeInline[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
 }
 
 // Flatten drives any in-flight migration to completion. Phase operation:
-// callers must quiesce mutators first. Exported for the same reason as
-// LockFree.Flatten: after an abandoned or faulted round, it proves the
-// table is migration-free and fully usable.
+// callers must quiesce mutators first. Bulk operations (Len, Range, Clear,
+// ...) call it implicitly; it is exported so cancellation and
+// crash-recovery paths can prove a table is migration-free — and hence
+// fully usable by per-key and bulk operations alike — after a round is
+// abandoned or faulted mid-growth.
 func (h *LockFreeInline[K, V]) Flatten() {
 	h.assertQuiesced("Flatten")
 	h.flatten()
@@ -613,9 +656,13 @@ func (h *LockFreeInline[K, V]) flatten() *inTable[K] {
 		if t.next.Load() == nil {
 			return t
 		}
+		// Chunk claims are atomic, so pool workers compose with any
+		// straggling per-op helpers; extra iterations no-op on an empty
+		// claim counter.
 		parallel.ForGrain(0, int(t.nchunks), 1, func(int) {
 			h.helpMigrate(t, 1)
 		})
+		// Wait for chunks claimed by outside helpers to drain.
 		for t.migDone.Load() < t.nchunks {
 			runtime.Gosched()
 		}
@@ -714,9 +761,11 @@ func (h *LockFreeInline[K, V]) Reserve(capacity int) {
 }
 
 // AdvanceEpoch flattens the table (phase operation) and bumps the epoch,
-// reclaiming retired slot arrays no open snapshot can reference; see
-// LockFree.AdvanceEpoch. The Delaunay round engine calls it on the face
-// map at each committed round boundary.
+// reclaiming retired slot arrays no open snapshot can reference. The
+// Delaunay round engine calls it on the face map at each committed round
+// boundary, which is what makes a snapshot taken after it complete: a
+// flattened root holds every key committed so far, so a post-boundary
+// Snap.Range misses nothing.
 func (h *LockFreeInline[K, V]) AdvanceEpoch() uint64 {
 	h.assertQuiesced("AdvanceEpoch")
 	if fault.Enabled {
@@ -753,8 +802,9 @@ func (s *inSnap[K, V]) Load(k K) (V, bool) {
 }
 
 // visit calls f for every entry visible from the pinned root until f
-// returns false; moved slots resolve forward through the chain (same
-// contract as lfSnap.visit).
+// returns false. A slot frozen by a later migration resolves forward
+// through the successor tables like a live Load, so each key of the
+// pinned root is visited once, with its newest value.
 func (s *inSnap[K, V]) visit(f func(k K, v V) bool) {
 	t := s.root
 	for i := range t.slots {

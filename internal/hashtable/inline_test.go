@@ -1,17 +1,19 @@
 package hashtable
 
-// Tests specific to the seqlock inline-slot table: torn-read stress (the
-// seqlock's whole job is multi-word consistency), allocation pins for the
-// write paths (the reason the table exists), and a phase-stress run with
-// exact final contents, mirroring stress_test.go. The oracle and fuzz
-// suites also replay every stream through LockFreeInline (oracle_test.go,
-// fuzz_test.go).
+// Tests specific to the lock-free table: torn-read stress (the seqlock's
+// whole job is multi-word consistency), allocation pins for the write
+// paths, growth (sequential with tombstones, and concurrent), priority
+// writes, Reserve, and a deterministic phase stress with exact final
+// contents. The oracle and fuzz suites replay every stream through
+// LockFreeInline as well (oracle_test.go, fuzz_test.go).
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // pairVal is a two-word POD whose halves must always be observed
@@ -115,8 +117,9 @@ func TestInlineTornReadStress(t *testing.T) {
 }
 
 // TestInlineWriteNoAlloc pins the point of the inline table: Store,
-// winning Update, UpdateIf (both paths), Delete and Load allocate nothing
-// once the table is at capacity.
+// winning Update, UpdateIf (writing, and declining on a present or an
+// absent key), Delete and Load allocate nothing once the table is at
+// capacity.
 func TestInlineWriteNoAlloc(t *testing.T) {
 	m := newInlinePair(1024)
 	for i := 0; i < 256; i++ {
@@ -145,6 +148,12 @@ func TestInlineWriteNoAlloc(t *testing.T) {
 		}},
 		{"updateif-noop", func() {
 			m.UpdateIf(13, func(old pairVal, ok bool) (pairVal, bool) {
+				return old, false
+			})
+		}},
+		// Declining on an absent key is a plain probe: no slot claim.
+		{"updateif-noop-absent", func() {
+			m.UpdateIf(1<<20, func(old pairVal, ok bool) (pairVal, bool) {
 				return old, false
 			})
 		}},
@@ -189,8 +198,45 @@ func TestInlineGrowth(t *testing.T) {
 	}
 }
 
-// TestInlineStressPhases is stress_test.go's exact-contents phase stress
-// run against the inline table.
+// barrier is a reusable all-arrive phase barrier for p participants.
+type barrier struct {
+	mu    sync.Mutex
+	cond  *sync.Cond
+	p     int
+	count int
+	phase int
+}
+
+func newBarrier(p int) *barrier {
+	b := &barrier{p: p}
+	b.cond = sync.NewCond(&b.mu)
+	return b
+}
+
+// await blocks until all p participants have arrived, then releases them
+// together into the next phase.
+func (b *barrier) await() {
+	b.mu.Lock()
+	phase := b.phase
+	b.count++
+	if b.count == b.p {
+		b.count = 0
+		b.phase++
+		b.cond.Broadcast()
+	} else {
+		for b.phase == phase {
+			b.cond.Wait()
+		}
+	}
+	b.mu.Unlock()
+}
+
+// TestInlineStressPhases is a deterministic -race stress: GOMAXPROCS
+// goroutines hammer one table through a phase barrier. Each phase's
+// workload is chosen so the final contents are computable in closed form
+// regardless of interleaving, so the test asserts exact state, not just
+// absence of crashes. The table starts tiny so phase 1 forces several
+// cooperative migrations under full contention.
 func TestInlineStressPhases(t *testing.T) {
 	p := runtime.GOMAXPROCS(0)
 	if p < 4 {
@@ -208,6 +254,9 @@ func TestInlineStressPhases(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			// Phase 1: disjoint inserts (goroutine g owns keys g*perG..).
+			// All goroutines also increment a small shared counter space,
+			// so growth migrations race with both claims and updates.
 			for i := 0; i < perG; i++ {
 				k := g*perG + i
 				m.Store(k, k+1)
@@ -216,14 +265,18 @@ func TestInlineStressPhases(t *testing.T) {
 				m.Update(1_000_000+i%shared, func(old int, ok bool) int { return old + 1 })
 			}
 			bar.await()
+			// Phase 2: pure reads of phase 1's state, concurrent across
+			// all goroutines; any torn or lost write is visible here.
 			for i := 0; i < perG; i++ {
-				k := ((g+1)%p)*perG + i
+				k := ((g+1)%p)*perG + i // read a neighbor's keys
 				if v, ok := m.Load(k); !ok || v != k+1 {
 					errs <- "phase2 missing or wrong key"
 					break
 				}
 			}
 			bar.await()
+			// Phase 3: each goroutine deletes the odd keys it owns and
+			// doubles its even keys.
 			for i := 0; i < perG; i++ {
 				k := g*perG + i
 				if k%2 == 1 {
@@ -240,6 +293,8 @@ func TestInlineStressPhases(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
+	// Exact final contents: even keys doubled, odd keys gone, shared
+	// counters at p*incs/shared increments each.
 	n := p * perG
 	wantLen := n/2 + shared
 	if got := m.Len(); got != wantLen {
@@ -267,5 +322,69 @@ func TestInlineStressPhases(t *testing.T) {
 	}
 	if total != p*incs {
 		t.Fatalf("shared counters lost increments: total=%d want %d", total, p*incs)
+	}
+}
+
+func TestLockFreeGrowth(t *testing.T) {
+	// Insert far past the initial capacity from many goroutines; every key
+	// must survive the migrations.
+	m := newInlineInt(1)
+	const n = 50000
+	parallel.For(0, n, func(i int) { m.Store(i, i+1) })
+	if m.Len() != n {
+		t.Fatalf("len=%d want %d", m.Len(), n)
+	}
+	parallel.For(0, n, func(i int) {
+		if v, ok := m.Load(i); !ok || v != i+1 {
+			t.Errorf("key %d = (%d,%v)", i, v, ok)
+		}
+	})
+}
+
+func TestLockFreePriorityWrite(t *testing.T) {
+	// LoadOrStore is a priority write: exactly one writer per key wins and
+	// everyone observes the winner.
+	m := newInlineInt(8)
+	const n, keys = 20000, 64
+	won := make([]atomic.Int64, keys)
+	observed := make([]int64, n)
+	parallel.For(0, n, func(i int) {
+		k := i % keys
+		v, loaded := m.LoadOrStore(k, i)
+		if !loaded {
+			won[k].Add(1)
+		}
+		observed[i] = int64(v)
+	})
+	for k := range won {
+		if w := won[k].Load(); w != 1 {
+			t.Fatalf("key %d won %d times", k, w)
+		}
+	}
+	for i := 0; i < n; i++ {
+		k := i % keys
+		v, _ := m.Load(k)
+		if observed[i] != int64(v) {
+			t.Fatalf("op %d observed %d, final %d", i, observed[i], v)
+		}
+	}
+}
+
+func TestLockFreeReserve(t *testing.T) {
+	m := newInlineInt(1)
+	for i := 0; i < 10; i++ {
+		m.Store(i, i)
+	}
+	m.Reserve(10000)
+	for i := 10; i < 10000; i++ {
+		m.Store(i, i)
+	}
+	if m.Len() != 10000 {
+		t.Fatalf("len=%d", m.Len())
+	}
+	for i := 0; i < 10000; i += 997 {
+		if v, ok := m.Load(i); !ok || v != i {
+			t.Fatalf("key %d = (%d,%v)", i, v, ok)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package hashtable
 
 // Oracle equivalence tests: randomized operation streams are replayed
-// against a plain Go map (the oracle), the sharded Map, and the LockFree
+// against a plain Go map (the oracle), the sharded Map, and the lock-free
 // table, asserting identical observable behavior op by op — the testing
 // discipline of the RunType2Seq equivalence suite applied to the table.
 // Table capacities are chosen tiny so the lock-free replays cross several
@@ -129,9 +129,8 @@ func TestOracleEquivalence(t *testing.T) {
 	impls := func() map[string]Table[int, int] {
 		hash := func(k int) uint64 { return Mix64(uint64(k)) }
 		return map[string]Table[int, int]{
-			"sharded":  New[int, int](8, 16, hash),
-			"lockfree": NewLockFree[int, int](2, hash), // tiny: forces resizes
-			"inline":   NewLockFreeInline[int, int](2, hash, EncInt, DecInt),
+			"sharded": New[int, int](8, 16, hash),
+			"inline":  NewLockFreeInline[int, int](2, hash, EncInt, DecInt), // tiny: forces resizes
 		}
 	}
 	for _, cfg := range []struct {
@@ -160,63 +159,15 @@ func TestOracleEquivalence(t *testing.T) {
 	}
 }
 
-// TestOracleSliceValues replays the face-map/grid value shape (slices under
-// Update-append) against the oracle, with copy-on-write appends as the
-// lock-free contract requires.
-func TestOracleSliceValues(t *testing.T) {
-	hash := func(k int) uint64 { return Mix64(uint64(k)) }
-	impls := map[string]Table[int, []int32]{
-		"sharded":  New[int, []int32](8, 16, hash),
-		"lockfree": NewLockFree[int, []int32](2, hash),
-	}
-	for impl, tab := range impls {
-		r := rng.New(7)
-		oracle := map[int][]int32{}
-		const keys, steps = 97, 6000
-		for step := 0; step < steps; step++ {
-			key := int(r.Uint64() % keys)
-			switch r.Uint64() % 4 {
-			case 0, 1, 2: // append-heavy, like grid inserts
-				v := int32(step)
-				tab.Update(key, func(old []int32, _ bool) []int32 {
-					ns := make([]int32, len(old)+1)
-					copy(ns, old)
-					ns[len(old)] = v
-					return ns
-				})
-				oracle[key] = append(oracle[key], v)
-			case 3:
-				tab.Delete(key)
-				delete(oracle, key)
-			}
-		}
-		if tab.Len() != len(oracle) {
-			t.Fatalf("%s: Len=%d oracle=%d", impl, tab.Len(), len(oracle))
-		}
-		for k, want := range oracle {
-			got, ok := tab.Load(k)
-			if !ok || len(got) != len(want) {
-				t.Fatalf("%s: Load(%d) len=%d ok=%v, oracle len=%d", impl, k, len(got), ok, len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: key %d element %d = %d, oracle %d", impl, k, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestOracleImplsAgree replays one stream through all three
-// implementations side by side and asserts they agree with each other
-// (not just the oracle) on every returned value — the sharded map is the
-// reference implementation for both lock-free tables.
+// TestOracleImplsAgree replays one stream through both implementations
+// side by side and asserts they agree with each other (not just the
+// oracle) on every returned value — the sharded map is the reference
+// implementation for the lock-free table.
 func TestOracleImplsAgree(t *testing.T) {
 	hash := func(k int) uint64 { return Mix64(uint64(k)) }
 	a := New[int, int](4, 8, hash)
 	others := map[string]Table[int, int]{
-		"lockfree": NewLockFree[int, int](2, hash),
-		"inline":   NewLockFreeInline[int, int](2, hash, EncInt, DecInt),
+		"inline": NewLockFreeInline[int, int](2, hash, EncInt, DecInt),
 	}
 	r := rng.New(11)
 	const keys, steps = 512, 20000

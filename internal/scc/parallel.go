@@ -244,9 +244,9 @@ func ParallelCancel(g *graph.Graph, c *parallel.Canceler) (Labels, Stats, error)
 func canonicalizePar(l Labels) (Labels, int) {
 	// Presized for the worst case of half the vertices being their own
 	// component; shattered graphs beyond that pay one cooperative growth.
-	// int32 minima live in the seqlock inline-slot table: the winning
-	// min-writes allocate no value box (the remaining write cost UpdateIf
-	// could not prune away).
+	// int32 minima live in the seqlock inline-slot table, so the winning
+	// min-writes (the write cost UpdateIf cannot prune away) allocate
+	// nothing.
 	minOf := hashtable.NewLockFreeInline[int32, int32](len(l)/2+16,
 		func(k int32) uint64 { return hashtable.Mix64(uint64(uint32(k))) },
 		hashtable.EncInt32, hashtable.DecInt32)
@@ -255,7 +255,7 @@ func canonicalizePar(l Labels) (Labels, int) {
 		// read skips the table op once the component's minimum has settled
 		// below v, which is the common case; races that slip past the read
 		// take UpdateIf's leave-as-is path, which performs no CAS and
-		// allocates no value box.
+		// allocates nothing.
 		if cur, ok := minOf.Load(l[v]); ok && cur < int32(v) {
 			return
 		}
