@@ -392,10 +392,14 @@ func ResumeLive(st *BuildState) (*Live, error) {
 	}
 	lv := &Live{
 		e:       e,
+		grid:    newLocGrid(s.pts, s.n),
 		scanned: len(s.tris),
 		final:   append([]int32(nil), st.Final...),
 		done:    st.Done,
 	}
-	lv.pub.PublishAt(buildView(s, e.round, lv.final, lv.done), uint64(e.round)+1)
+	for _, id := range lv.final {
+		lv.grid.add(id, s.tris[id].V)
+	}
+	lv.pub.PublishAt(lv.view(), uint64(e.round)+1)
 	return lv, nil
 }

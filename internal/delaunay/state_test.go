@@ -46,16 +46,25 @@ func TestCaptureResumeEveryBoundary(t *testing.T) {
 	}
 	meshEqual(t, "uninterrupted live run", lv.Finish(), want)
 
-	for i, st := range states {
+	// The restored view locates against exactly its own final set, both
+	// when published and after the resumed build has extended the grid.
+	r := rng.New(62)
+	for _, st := range states {
 		re, err := ResumeLive(st)
 		if err != nil {
 			t.Fatalf("ResumeLive(round %d): %v", st.Round, err)
 		}
-		if v := re.View(); v.Round() != st.Round {
+		v := re.View()
+		if v.Round() != st.Round {
 			t.Fatalf("restored view at round %d, want %d", v.Round(), st.Round)
 		}
+		if msg := locateMismatch(v, r, 40); msg != "" {
+			t.Fatalf("restored view: %s", msg)
+		}
 		meshEqual(t, "resumed from boundary", liveToEnd(t, re), want)
-		_ = i
+		if msg := locateMismatch(v, r, 40); msg != "" {
+			t.Fatalf("restored view after the resumed build: %s", msg)
+		}
 	}
 }
 

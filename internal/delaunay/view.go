@@ -1,8 +1,6 @@
 package delaunay
 
 import (
-	"math"
-
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/hashtable"
@@ -42,19 +40,10 @@ type MeshView struct {
 	tris  []Tri   // committed triangle-log prefix (shared, immutable)
 	final []int32 // ids of final triangles (E empty at creation), ascending
 
-	// Location grid over the final triangles: the input bounding box is
-	// binned into ~len(final) cells; each final triangle is listed in
-	// every cell its own bounding box overlaps (clamped into the grid the
-	// same way queries are, so a triangle containing q is always listed
-	// in q's cell). Triangles spanning more than wideSpan cells — the
-	// handful of hull triangles reaching the far-away bounding corners —
-	// go to the wide list, scanned on every query.
-	ox, oy     float64
-	invW, invH float64 // cells per unit in x / y
-	gw, gh     int
-	cellStart  []int32
-	cellTris   []int32
-	wide       []int32
+	// grid is the build's location grid, shared by all its views and
+	// extended by later publications; this view sees only the listed ids
+	// below len(tris), which are exactly its final set (grid.go).
+	grid *locGrid
 }
 
 // Round is the committed round this view was published at (0 = the
@@ -92,124 +81,6 @@ func (v *MeshView) Corners(t int32) [3]int32 { return v.tris[t].V }
 //ridt:noalloc
 func (v *MeshView) Point(i int32) geom.Point { return v.pts[i] }
 
-// gridCells caps the location grid's side so a huge view cannot make the
-// per-publication rebuild quadratic in memory.
-const gridCells = 1024
-
-// buildView snapshots the store into an immutable view. Serial, called
-// from the publisher at the committed boundary; cost O(final + cells)
-// per publication (the honest total over a run is O(n) per round — see
-// DESIGN.md for why a rebuilt grid was chosen over shared mutable
-// indices).
-func buildView(s *store, round int32, final []int32, done bool) *MeshView {
-	v := &MeshView{
-		round: round,
-		done:  done,
-		pts:   s.pts,
-		n:     s.n,
-		tris:  s.tris[:len(s.tris):len(s.tris)],
-		final: final[:len(final):len(final)],
-	}
-	nf := len(v.final)
-	if nf == 0 {
-		return v
-	}
-	// Domain: the input bounding box (the bounding corners sit ~50 widths
-	// outside and would dilute the grid to uselessness). Queries and
-	// triangle bins clamp into it identically.
-	dom := v.pts[:v.n]
-	if v.n == 0 {
-		dom = v.pts
-	}
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, p := range dom {
-		minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
-		maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
-	}
-	w, h := maxX-minX, maxY-minY
-	if w <= 0 {
-		w = 1
-	}
-	if h <= 0 {
-		h = 1
-	}
-	g := int(math.Sqrt(float64(nf))) + 1
-	if g > gridCells {
-		g = gridCells
-	}
-	v.gw, v.gh = g, g
-	v.ox, v.oy = minX, minY
-	v.invW = float64(g) / w
-	v.invH = float64(g) / h
-
-	// CSR build: count per cell, prefix-sum, fill.
-	wideSpan := int32(v.gw + v.gh)
-	counts := make([]int32, v.gw*v.gh+1)
-	spanOf := func(id int32) (cx0, cx1, cy0, cy1 int32, wide bool) {
-		tv := v.tris[id].V
-		a, b, c := v.pts[tv[0]], v.pts[tv[1]], v.pts[tv[2]]
-		bx0, bx1 := math.Min(a.X, math.Min(b.X, c.X)), math.Max(a.X, math.Max(b.X, c.X))
-		by0, by1 := math.Min(a.Y, math.Min(b.Y, c.Y)), math.Max(a.Y, math.Max(b.Y, c.Y))
-		cx0, cy0 = v.cellXY(bx0, by0)
-		cx1, cy1 = v.cellXY(bx1, by1)
-		wide = (cx1-cx0+1)*(cy1-cy0+1) > wideSpan
-		return
-	}
-	for _, id := range v.final {
-		cx0, cx1, cy0, cy1, wide := spanOf(id)
-		if wide {
-			v.wide = append(v.wide, id)
-			continue
-		}
-		for cy := cy0; cy <= cy1; cy++ {
-			for cx := cx0; cx <= cx1; cx++ {
-				counts[cy*int32(v.gw)+cx+1]++
-			}
-		}
-	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	v.cellStart = counts
-	v.cellTris = make([]int32, counts[len(counts)-1])
-	next := make([]int32, v.gw*v.gh)
-	copy(next, counts[:len(counts)-1])
-	for _, id := range v.final {
-		cx0, cx1, cy0, cy1, wide := spanOf(id)
-		if wide {
-			continue
-		}
-		for cy := cy0; cy <= cy1; cy++ {
-			for cx := cx0; cx <= cx1; cx++ {
-				c := cy*int32(v.gw) + cx
-				v.cellTris[next[c]] = id
-				next[c]++
-			}
-		}
-	}
-	return v
-}
-
-// cellXY maps a coordinate into its (clamped) grid cell.
-//
-//ridt:noalloc
-func (v *MeshView) cellXY(x, y float64) (cx, cy int32) {
-	cx = int32((x - v.ox) * v.invW)
-	cy = int32((y - v.oy) * v.invH)
-	if cx < 0 {
-		cx = 0
-	} else if cx >= int32(v.gw) {
-		cx = int32(v.gw) - 1
-	}
-	if cy < 0 {
-		cy = 0
-	} else if cy >= int32(v.gh) {
-		cy = int32(v.gh) - 1
-	}
-	return
-}
-
 // triContains reports whether q lies in triangle id (boundary inclusive;
 // corners are CCW by construction). Exact: the float fast path decides
 // almost every query with no allocation, the big-rational fallback
@@ -235,21 +106,7 @@ func (v *MeshView) Locate(q geom.Point) (int32, bool) {
 	if len(v.final) == 0 {
 		return NoTri, false
 	}
-	if v.gw > 0 {
-		cx, cy := v.cellXY(q.X, q.Y)
-		c := cy*int32(v.gw) + cx
-		for _, id := range v.cellTris[v.cellStart[c]:v.cellStart[c+1]] {
-			if v.triContains(id, q) {
-				return id, true
-			}
-		}
-	}
-	for _, id := range v.wide {
-		if v.triContains(id, q) {
-			return id, true
-		}
-	}
-	return NoTri, false
+	return v.grid.locate(v, int32(len(v.tris)), q)
 }
 
 // Contains reports whether q lies in the finalized region of this view.
@@ -266,6 +123,7 @@ func (v *MeshView) Contains(q geom.Point) bool {
 type Live struct {
 	e       *roundEngine
 	pub     parallel.Epoch[MeshView]
+	grid    *locGrid
 	scanned int     // triangle-log prefix already scanned for finals
 	final   []int32 // accumulated final ids, ascending
 	done    bool
@@ -275,27 +133,45 @@ type Live struct {
 // ParTriangulate: pre-shuffled, deduplicated) and publishes the round-0
 // view (the bare bounding triangle).
 func NewLive(pts []geom.Point) *Live {
-	lv := &Live{e: newRoundEngine(pts)}
+	e := newRoundEngine(pts)
+	lv := &Live{e: e, grid: newLocGrid(e.s.pts, e.s.n)}
 	lv.collect()
 	lv.done = len(pts) == 0
 	lv.publish()
 	return lv
 }
 
-// collect extends the final-id watermark over newly committed triangles.
+// collect extends the final-id watermark over newly committed triangles
+// and lists each new final in the location grid: O(delta) per round.
 func (lv *Live) collect() {
 	s := lv.e.s
 	for i := lv.scanned; i < len(s.tris); i++ {
 		if len(s.tris[i].E) == 0 {
 			lv.final = append(lv.final, int32(i))
+			lv.grid.add(int32(i), s.tris[i].V)
 		}
 	}
 	lv.scanned = len(s.tris)
 }
 
-// publish builds and publishes the view for the current committed state.
+// view snapshots the committed state: capped prefixes of the engine's
+// append-only storage plus the shared grid. O(1).
+func (lv *Live) view() *MeshView {
+	s := lv.e.s
+	return &MeshView{
+		round: lv.e.round,
+		done:  lv.done,
+		pts:   s.pts,
+		n:     s.n,
+		tris:  s.tris[:len(s.tris):len(s.tris)],
+		final: lv.final[:len(lv.final):len(lv.final)],
+		grid:  lv.grid,
+	}
+}
+
+// publish publishes the view of the current committed state.
 func (lv *Live) publish() {
-	lv.pub.Publish(buildView(lv.e.s, lv.e.round, lv.final, lv.done))
+	lv.pub.Publish(lv.view())
 }
 
 // Step runs one round and publishes the resulting view; it reports

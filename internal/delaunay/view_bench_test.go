@@ -101,14 +101,41 @@ func BenchmarkSnapshotReadIncident(b *testing.B) {
 	_ = found
 }
 
-// BenchmarkSnapshotPublish prices the publisher's per-round overhead in
-// isolation: rebuilding and publishing the view for a completed store
-// (grid rebuild is the dominant term; see DESIGN.md for the O(final)
-// argument).
+// BenchmarkSnapshotPublish prices a republication with no new final
+// triangles: snapshotting the committed prefixes and publishing the view
+// through the epoch cell. The location grid is persistent, so a round's
+// publication adds only its new finals to it (collect, priced inside
+// BenchmarkSnapshotLiveRun); nothing here grows with the mesh.
 func BenchmarkSnapshotPublish(b *testing.B) {
 	lv := benchLive(b, 1<<14, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lv.publish()
 	}
+}
+
+// BenchmarkSnapshotLiveRun prices serving's whole tax on the builder: a
+// Live.Run (every round committed, collected into the location grid and
+// published) against ParTriangulate on the same 16Ki points. The
+// difference between the two rows is the publish tax; rounds and ns per
+// round are reported beside ns/op.
+func BenchmarkSnapshotLiveRun(b *testing.B) {
+	pts := geom.Dedup(geom.UniformSquare(rng.New(2027), 1<<14))
+	b.Run("engine=live", func(b *testing.B) {
+		var rounds int32
+		for i := 0; i < b.N; i++ {
+			lv := NewLive(pts)
+			if _, err := lv.Run(nil); err != nil {
+				b.Fatal(err)
+			}
+			rounds = lv.View().Round()
+		}
+		b.ReportMetric(float64(rounds), "rounds")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rounds), "ns/round")
+	})
+	b.Run("engine=par", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ParTriangulate(pts)
+		}
+	})
 }

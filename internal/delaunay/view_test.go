@@ -8,7 +8,9 @@ package delaunay
 // zero-alloc query pins. The stress tests run under -race in CI.
 
 import (
+	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,41 +135,66 @@ func TestLiveViewsMonotone(t *testing.T) {
 	}
 }
 
+// isFinalOf reports whether triangle id is in v's final set.
+func isFinalOf(v *MeshView, id int32) bool {
+	i := sort.Search(v.NumFinal(), func(i int) bool { return v.FinalID(i) >= id })
+	return i < v.NumFinal() && v.FinalID(i) == id
+}
+
+// locateMismatch cross-checks Locate against a linear scan of v's own
+// final set for nq random queries over [-0.1, 1.1)²: Locate must answer
+// exactly when one of v's final triangles contains the query, and only
+// with such a triangle. It returns "" or the first mismatch, so readers
+// on other goroutines can report it.
+func locateMismatch(v *MeshView, r *rng.RNG, nq int) string {
+	for k := 0; k < nq; k++ {
+		p := geom.Point{X: r.Float64()*1.2 - 0.1, Y: r.Float64()*1.2 - 0.1}
+		id, ok := v.Locate(p)
+		if ok && (!isFinalOf(v, id) || !v.triContains(id, p)) {
+			return fmt.Sprintf("round %d: Locate(%v) returned triangle %d, not a final triangle of this view containing it",
+				v.Round(), p, id)
+		}
+		brute := false
+		for i := 0; i < v.NumFinal() && !brute; i++ {
+			brute = v.triContains(v.FinalID(i), p)
+		}
+		if ok != brute {
+			return fmt.Sprintf("round %d: Locate(%v) = %v, brute force = %v", v.Round(), p, ok, brute)
+		}
+	}
+	return ""
+}
+
 // TestViewLocateBruteForce cross-checks the location grid against a
 // linear scan of the final set, on mid-build views and the completed
 // one: Locate finds a containing final triangle exactly when one exists,
-// and the triangle it returns does contain the query.
+// and the triangle it returns does contain the query. Every mid-build
+// view is checked again after the build completes: the grid is shared
+// and has grown since, so a stale view must still see exactly its own
+// final set.
 func TestViewLocateBruteForce(t *testing.T) {
 	pts := geom.Dedup(geom.UniformSquare(rng.New(12), 900))
 	lv := NewLive(pts)
 	r := rng.New(77)
-	check := func(v *MeshView) {
-		t.Helper()
-		for q := 0; q < 300; q++ {
-			p := geom.Point{X: r.Float64()*1.2 - 0.1, Y: r.Float64()*1.2 - 0.1}
-			id, ok := v.Locate(p)
-			if ok && !v.triContains(id, p) {
-				t.Fatalf("round %d: Locate(%v) returned triangle %d not containing it", v.Round(), p, id)
-			}
-			brute := false
-			for i := 0; i < v.NumFinal() && !brute; i++ {
-				brute = v.triContains(v.FinalID(i), p)
-			}
-			if ok != brute {
-				t.Fatalf("round %d: Locate(%v) = %v, brute force = %v", v.Round(), p, ok, brute)
-			}
-		}
-	}
+	var checked []*MeshView
 	for {
 		more, err := lv.Step(nil)
 		if err != nil {
 			t.Fatalf("Step: %v", err)
 		}
 		if v := lv.View(); v.Round()%7 == 0 || !more {
-			check(v)
+			if msg := locateMismatch(v, r, 300); msg != "" {
+				t.Fatal(msg)
+			}
+			checked = append(checked, v)
 		}
 		if !more {
 			break
+		}
+	}
+	for _, v := range checked {
+		if msg := locateMismatch(v, r, 300); msg != "" {
+			t.Fatalf("stale view: %s", msg)
 		}
 	}
 	// Completed view: every input point must locate (it is a corner of
@@ -187,7 +214,10 @@ func TestViewLocateBruteForce(t *testing.T) {
 // snapshot stress: readers hammer views (and face-map snapshots) while
 // the publisher builds, asserting every observed view is byte-for-byte
 // one of the reference run's committed-round prefixes and that epochs
-// and rounds only move forward per reader. Run under -race in CI.
+// and rounds only move forward per reader. Each reader also keeps a view
+// and, once the build is 5 or more rounds past it, re-queries it against
+// its own final set while the publisher keeps extending the shared grid.
+// Run under -race in CI.
 func TestLiveConcurrentReaders(t *testing.T) {
 	n := 2500
 	if testing.Short() {
@@ -217,6 +247,7 @@ func TestLiveConcurrentReaders(t *testing.T) {
 			r := rng.New(seed)
 			var lastEp uint64
 			var lastRound int32 = -1
+			var stale *MeshView
 			for !stop.Load() {
 				v, ep := lv.ViewEpoch()
 				if ep < lastEp || (ep == lastEp && v.Round() != lastRound && lastRound != -1) {
@@ -258,6 +289,15 @@ func TestLiveConcurrentReaders(t *testing.T) {
 					}
 				}
 				fs.Close()
+				if stale == nil {
+					stale = v
+				} else if v.Round() >= stale.Round()+5 {
+					if msg := locateMismatch(stale, r, 4); msg != "" {
+						report("stale view: " + msg)
+						return
+					}
+					stale = v
+				}
 			}
 		}(uint64(g)*131 + 7)
 	}
@@ -433,5 +473,36 @@ func TestViewQueryAllocs(t *testing.T) {
 		_ = lv.View()
 	}); avg != 0 {
 		t.Fatalf("serve-path queries allocate %.2f per op, want 0", avg)
+	}
+}
+
+// TestLivePublishAllocs pins publication at O(delta): republishing with
+// no new final triangles allocates the same small constant at 2Ki and
+// 8Ki points (the view, the epoch cell's entry and its tick channel) and
+// nothing proportional to the grid or the final set.
+func TestLivePublishAllocs(t *testing.T) {
+	var allocs [2]float64
+	var bytes [2]uint64
+	for i, n := range []int{1 << 11, 1 << 13} {
+		lv := NewLive(geom.Dedup(geom.UniformSquare(rng.New(73), n)))
+		if _, err := lv.Run(nil); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		allocs[i] = testing.AllocsPerRun(100, lv.publish)
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k := 0; k < runs; k++ {
+			lv.publish()
+		}
+		runtime.ReadMemStats(&after)
+		bytes[i] = (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	t.Logf("per publication: %v allocs, %v bytes (2Ki, 8Ki points)", allocs, bytes)
+	if allocs[0] != allocs[1] || allocs[1] > 4 {
+		t.Fatalf("publication allocates %v times at 2Ki/8Ki points, want the same small constant", allocs)
+	}
+	if bytes[1] > 512 || bytes[1] > bytes[0]+64 {
+		t.Fatalf("publication allocates %v bytes at 2Ki/8Ki points, want a small constant independent of n", bytes)
 	}
 }

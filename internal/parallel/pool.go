@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/fault"
 )
@@ -222,16 +223,18 @@ func (t *loopTask) runChunk(c int) {
 // matching the per-chunk deferred accounting of the old scheduler. After a
 // panic anywhere in the loop the remaining chunks of the batch are skipped
 // (but still accounted): sequential semantics never reach iterations after
-// the first panicking one.
+// the first panicking one. Each chunk run is ticked into the caller's
+// time slice.
 //
 //ridt:noalloc
-func (t *loopTask) runRange(lo, hi int) {
+func (t *loopTask) runRange(lo, hi int, ts *timeSlice) {
 	defer t.finish(int64(hi - lo))
 	for c := lo; c < hi; c++ {
 		if t.panicked.Load() || t.cancel.Canceled() {
 			return
 		}
 		t.runChunk(c)
+		ts.tick()
 	}
 }
 
@@ -291,15 +294,66 @@ func (t *loopTask) steal(lane int) (lo, hi int, ok bool) {
 	return 0, 0, false
 }
 
+// yieldSlice is how long a participant runs chunks back to back before
+// it offers its P to the Go scheduler. A loop that keeps every P busy
+// otherwise holds timer-woken goroutines (a daemon's readers) off the
+// CPU until it ends or sysmon preempts it, 10 ms later. A Gosched costs
+// ~140 ns, well under 1% of a 50 µs slice.
+const yieldSlice = 50 * time.Microsecond
+
+// maxYieldEvery caps how many chunks may run between two clock reads.
+const maxYieldEvery = 16
+
+// clockBase anchors the slice clock: time.Since on a monotonic reading
+// skips the wall-clock read that time.Now makes.
+var clockBase = time.Now()
+
+// timeSlice is one participation's yield state. The clock is first read
+// after the participant's fourth chunk and then after every chunk,
+// except that the interval doubles (up to maxYieldEvery) while chunks
+// keep taking under an eighth of the slice. A loop of big chunks is thus
+// checked after every chunk, a loop of tiny chunks — where a read per
+// chunk measurably slows the solvers built on them — costs a
+// logarithmic number of reads, and a participation of up to four chunks
+// costs none.
+type timeSlice struct {
+	start, last  time.Duration // slice start and last read; last == 0 until the first read
+	every, since int           // chunks between reads; chunks since the last read
+}
+
+// tick accounts one finished chunk and yields once the slice is spent.
+//
+//ridt:noalloc
+func (ts *timeSlice) tick() {
+	if ts.since++; ts.since < ts.every {
+		return
+	}
+	ts.since = 0
+	now := time.Since(clockBase)
+	switch {
+	case ts.last == 0:
+		ts.start, ts.every = now, 1
+	case now-ts.start >= yieldSlice:
+		runtime.Gosched()
+		now = time.Since(clockBase)
+		ts.start = now
+	case now-ts.last < yieldSlice/8 && ts.every < maxYieldEvery:
+		ts.every *= 2
+	}
+	ts.last = now
+}
+
 // participate consumes the given lane, stealing when it runs dry, until no
 // chunk is claimable anywhere. Ranges only ever shrink except through
 // install, and an installed range is owned by a live participant, so a full
 // scan that finds every lane empty proves this participant cannot help
 // further (work may still be in flight in other goroutines' claimed
-// batches; completion is tracked by pending, not by this scan).
+// batches; completion is tracked by pending, not by this scan). Between
+// chunks it yields its P once per time slice (timeSlice).
 //
 //ridt:noalloc
 func (t *loopTask) participate(lane int) {
+	ts := timeSlice{every: 4}
 	for {
 		// A canceled task is drained, not claimed from. Every observer
 		// drains (see cancelDrain) — returning without draining could
@@ -320,7 +374,7 @@ func (t *loopTask) participate(lane int) {
 					if t.slots[lane].install(lo, hi) {
 						continue
 					}
-					t.runRange(lo, hi)
+					t.runRange(lo, hi, &ts)
 					continue
 				}
 			}
@@ -340,7 +394,7 @@ func (t *loopTask) participate(lane int) {
 				continue
 			}
 		}
-		t.runRange(lo, hi)
+		t.runRange(lo, hi, &ts)
 	}
 }
 

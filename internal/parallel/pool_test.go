@@ -2,8 +2,10 @@ package parallel
 
 import (
 	"runtime"
+	"sort"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // withProcs raises GOMAXPROCS to at least p for the duration of the test so
@@ -307,5 +309,52 @@ func TestGrowsWithGOMAXPROCS(t *testing.T) {
 	ForGrain(0, 100000, 16, func(i int) { sum.Add(int64(i)) })
 	if want := int64(100000) * 99999 / 2; sum.Load() != want {
 		t.Fatalf("sum = %d, want %d", sum.Load(), want)
+	}
+}
+
+// TestPoolYieldsToTimers: a loop that keeps every P busy must not hold a
+// timer-woken goroutine off the CPU until sysmon preempts a participant
+// (10 ms). A sleeper wakes every millisecond while a ~200 ms loop of
+// short blocks runs; its median lateness must stay well under the
+// preemption period, which only the participants' time-slice yields
+// provide. The block count is pinned (BlocksN) because ForGrain caps a
+// loop at chunksPerWorker chunks per worker: a 200 ms ForGrain loop has
+// multi-millisecond chunks, and a participant can yield only between
+// batches.
+func TestPoolYieldsToTimers(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs GOMAXPROCS >= 2: with one P the loop runs inline")
+	}
+	const (
+		blocks = 10000
+		spin   = 40 * time.Microsecond
+		nap    = time.Millisecond
+	)
+	For(0, 1000, func(int) {}) // start the pool
+	var stop atomic.Bool
+	lateness := make(chan []time.Duration, 1)
+	go func() {
+		var late []time.Duration
+		for !stop.Load() {
+			t0 := time.Now()
+			time.Sleep(nap)
+			late = append(late, time.Since(t0)-nap)
+		}
+		lateness <- late
+	}()
+	BlocksN(0, blocks, blocks, func(_, lo, hi int) {
+		for s := time.Now(); time.Since(s) < spin; {
+		}
+	})
+	stop.Store(true)
+	late := <-lateness
+	if len(late) < 10 {
+		t.Fatalf("sleeper woke only %d times during the loop", len(late))
+	}
+	sort.Slice(late, func(i, j int) bool { return late[i] < late[j] })
+	med := late[len(late)/2]
+	t.Logf("%d naps, median lateness %v, max %v", len(late), med, late[len(late)-1])
+	if med > 2*time.Millisecond {
+		t.Fatalf("median wake-up lateness %v over %d naps, want well under sysmon's 10ms preemption", med, len(late))
 	}
 }
