@@ -82,16 +82,15 @@ func (c *gridCell) locate(v *MeshView, spill *atomic.Pointer[[]int32], lim int32
 // overlaps, clamped into the grid the same way queries are, so a
 // triangle containing q is always listed in q's cell. Triangles spanning
 // more than 2·side cells — the handful of hull triangles reaching the
-// far-away bounding corners — go to the wide cell, scanned on every query.
+// far-away bounding corners — go to the wide cell, the last one, scanned
+// on every query.
 type locGrid struct {
 	pts        []geom.Point
 	ox, oy     float64
 	invW, invH float64 // cells per unit in x / y
 	side       int32
-	cells      []gridCell
+	cells      []gridCell                // side×side cells, then the wide cell
 	spills     []atomic.Pointer[[]int32] // per cell: ids past cellInline; len is the capacity
-	wide       gridCell
-	wideSpill  atomic.Pointer[[]int32]
 
 	// The publisher carves spill arrays and their slice headers from
 	// these slabs, so spilling allocates once per slab, not per cell. A
@@ -138,8 +137,8 @@ func newLocGrid(pts []geom.Point, n int) *locGrid {
 		invW:   float64(side) / w,
 		invH:   float64(side) / h,
 		side:   int32(side),
-		cells:  make([]gridCell, side*side),
-		spills: make([]atomic.Pointer[[]int32], side*side),
+		cells:  make([]gridCell, side*side+1),
+		spills: make([]atomic.Pointer[[]int32], side*side+1),
 	}
 }
 
@@ -169,20 +168,20 @@ func (g *locGrid) add(id int32, tv [3]int32) {
 	cx0, cy0 := g.cellXY(math.Min(a.X, math.Min(b.X, c.X)), math.Min(a.Y, math.Min(b.Y, c.Y)))
 	cx1, cy1 := g.cellXY(math.Max(a.X, math.Max(b.X, c.X)), math.Max(a.Y, math.Max(b.Y, c.Y)))
 	if (cx1-cx0+1)*(cy1-cy0+1) > 2*g.side {
-		g.addTo(&g.wide, &g.wideSpill, id)
+		g.addTo(len(g.cells)-1, id)
 		return
 	}
 	for cy := cy0; cy <= cy1; cy++ {
 		for cx := cx0; cx <= cx1; cx++ {
-			c := cy*g.side + cx
-			g.addTo(&g.cells[c], &g.spills[c], id)
+			g.addTo(int(cy*g.side+cx), id)
 		}
 	}
 }
 
-// addTo appends id to cell c, whose spill array is *spill, doubling the
-// spill array when it is full. Publisher only.
-func (g *locGrid) addTo(c *gridCell, spill *atomic.Pointer[[]int32], id int32) {
+// addTo appends id to cell i, doubling the cell's spill array when it is
+// full. Publisher only.
+func (g *locGrid) addTo(i int, id int32) {
+	c, spill := &g.cells[i], &g.spills[i]
 	n := c.n.Load()
 	if n < cellInline {
 		c.ids[n] = id
@@ -227,5 +226,6 @@ func (g *locGrid) locate(v *MeshView, lim int32, q geom.Point) (int32, bool) {
 	if id, ok := g.cells[c].locate(v, &g.spills[c], lim, q); ok {
 		return id, true
 	}
-	return g.wide.locate(v, &g.wideSpill, lim, q)
+	w := len(g.cells) - 1
+	return g.cells[w].locate(v, &g.spills[w], lim, q)
 }
