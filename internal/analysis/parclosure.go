@@ -7,12 +7,12 @@ import (
 
 // Parclosure flags the data-race shapes in closures handed to the
 // parallel loop primitives — the bugs -race catches only when the
-// schedule cooperates. A body passed to parallel.Blocks/BlocksIndexed/
-// BlocksN/For/ForGrain or a PackInto predicate runs concurrently across
-// block ranges, so it may write captured state only at slice indices
-// derived from its own range: a write to a captured scalar, a captured
-// map, or a slice index that does not mention any range-local variable is
-// executed by every block at once.
+// schedule cooperates. A body passed to parallel.Blocks/BlocksN/For/
+// ForGrain, their *Cancel forms, or a PackInto predicate runs
+// concurrently across block ranges, so it may write captured state only
+// at slice indices derived from its own range: a write to a captured
+// scalar, a captured map, or a slice index that does not mention any
+// range-local variable is executed by every block at once.
 //
 // The core.Type2Hooks contract is checked the same way: a RunRegular
 // closure is invoked in parallel over disjoint [lo, hi) blocks (so its
@@ -32,21 +32,15 @@ var Parclosure = &Analyzer{
 // parBodyArgs maps parallel-package functions to the argument index of
 // their concurrently-invoked closure.
 var parBodyArgs = map[string]int{
-	"For":           2,
-	"ForGrain":      3,
-	"Blocks":        3,
-	"BlocksIndexed": 3,
-	"BlocksN":       3,
-	"PackInto":      2,
-	// Cancelable and context-driven variants: same bodies, one extra
-	// token/context argument before the closure.
-	"ForCancel":      3,
+	"For":      2,
+	"ForGrain": 3,
+	"Blocks":   3,
+	"BlocksN":  3,
+	"PackInto": 2,
+	// Cancellable variants: same bodies, one extra token argument before
+	// the closure.
 	"ForGrainCancel": 4,
-	"BlocksCancel":   4,
 	"BlocksNCancel":  4,
-	"ForCtx":         3,
-	"ForGrainCtx":    4,
-	"BlocksCtx":      4,
 }
 
 // hookFields are the core.Type2Hooks fields whose closures run

@@ -37,6 +37,38 @@ func broadcast(slot []int64) {
 	})
 }
 
+func squares(dst []int64) {
+	parallel.For(0, len(dst), func(i int) {
+		dst[i] = int64(i * i) // negative: index is range-derived
+	})
+}
+
+func shift(dst, src []int64) {
+	parallel.ForGrain(1, len(dst), 16, func(i int) {
+		dst[i] = src[i-1] // negative: index is range-derived
+	})
+}
+
+func blockSums(sums, xs []int64) {
+	parallel.BlocksN(0, len(xs), len(sums), func(b, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sums[b] += xs[i] // negative: block-derived index
+		}
+	})
+}
+
+func blockLast(last []int64, xs []int64) {
+	parallel.BlocksN(0, len(xs), 4, func(b, lo, hi int) {
+		last[0] = xs[hi-1] // want `index that does not depend on the block range`
+	})
+}
+
+func positives(dst, xs []int64, counts []int) ([]int64, []int) {
+	return parallel.PackInto(dst, xs, func(i int) bool {
+		return xs[i] > 0 // negative: the predicate only reads
+	}, counts)
+}
+
 func pack(dst, xs []int64, counts []int) ([]int64, []int) {
 	kept := 0
 	out, cnt := parallel.PackInto(dst, xs, func(i int) bool {
@@ -49,7 +81,7 @@ func pack(dst, xs []int64, counts []int) ([]int64, []int) {
 
 func cancelTotal(xs []int64, c *parallel.Canceler) int64 {
 	var sum int64
-	parallel.BlocksCancel(0, len(xs), 64, c, func(lo, hi int) {
+	parallel.BlocksNCancel(0, len(xs), 8, c, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sum += xs[i] // want `writes captured "sum" from concurrent blocks`
 		}
@@ -70,30 +102,8 @@ func cancelBlocks(nexts [][]int64, c *parallel.Canceler) {
 }
 
 func cancelBroadcast(slot []int64, c *parallel.Canceler) {
-	parallel.ForCancel(0, 100, c, func(i int) {
+	parallel.ForGrainCancel(0, 100, 16, c, func(i int) {
 		slot[0] = int64(i) // want `index that does not depend on the block range`
-	})
-}
-
-func ctxBroadcast(ctx parallel.Context, slot []int64) {
-	parallel.ForCtx(ctx, 0, 100, func(i int) {
-		slot[0] = int64(i) // want `index that does not depend on the block range`
-	})
-}
-
-func ctxTotal(ctx parallel.Context, xs []int64) int64 {
-	var sum int64
-	parallel.BlocksCtx(ctx, 0, len(xs), 64, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sum += xs[i] // want `writes captured "sum" from concurrent blocks`
-		}
-	})
-	return sum
-}
-
-func ctxFill(ctx parallel.Context, dst []int64) {
-	parallel.ForGrainCtx(ctx, 0, len(dst), 16, func(i int) {
-		dst[i] = int64(i) // negative: range-derived index
 	})
 }
 

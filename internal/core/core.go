@@ -191,7 +191,7 @@ func RunType2(n int, h Type2Hooks) Type2Stats {
 func RunType2Cancel(n int, h Type2Hooks, c *parallel.Canceler) (Type2Stats, error) {
 	st := Type2Stats{N: n}
 	if n == 0 || c.Canceled() {
-		return st, canceledErr(c)
+		return st, c.Err()
 	}
 	h.RunFirst()
 	st.Special++
@@ -241,16 +241,7 @@ func RunType2Cancel(n int, h Type2Hooks, c *parallel.Canceler) (Type2Stats, erro
 			st.Committed = j
 		}
 	}
-	return st, canceledErr(c)
-}
-
-// canceledErr is the exit contract shared with the parallel package's
-// loop variants: parallel.ErrCanceled iff c is canceled at return.
-func canceledErr(c *parallel.Canceler) error {
-	if c.Canceled() {
-		return parallel.ErrCanceled
-	}
-	return nil
+	return st, c.Err()
 }
 
 // probeFull evaluates IsSpecial over the whole live prefix [j, hi) in one
@@ -384,7 +375,7 @@ func RunType3(n int, h Type3Hooks) Type3Stats {
 func RunType3Cancel(n int, h Type3Hooks, c *parallel.Canceler) (Type3Stats, error) {
 	st := Type3Stats{N: n}
 	if n == 0 || c.Canceled() {
-		return st, canceledErr(c)
+		return st, c.Err()
 	}
 	h.RunFirst()
 	st.Committed = 1
@@ -406,5 +397,5 @@ func RunType3Cancel(n int, h Type3Hooks, c *parallel.Canceler) (Type3Stats, erro
 		h.Combine(lo, hi)
 		st.Committed = hi
 	}
-	return st, canceledErr(c)
+	return st, c.Err()
 }

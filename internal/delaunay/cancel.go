@@ -1,7 +1,6 @@
 package delaunay
 
 import (
-	"context"
 	"sync/atomic"
 
 	"repro/internal/fault"
@@ -217,7 +216,7 @@ func (e *roundEngine) stepCancel(c *parallel.Canceler) (bool, error) {
 	fires := ar.fires
 	m := len(fires)
 	if m == 0 {
-		return false, canceledErr(c)
+		return false, c.Err()
 	}
 	if c.Canceled() {
 		return false, parallel.ErrCanceled
@@ -358,14 +357,6 @@ func (e *roundEngine) stepCancel(c *parallel.Canceler) (bool, error) {
 	return true, nil
 }
 
-// canceledErr mirrors the parallel package's exit contract.
-func canceledErr(c *parallel.Canceler) error {
-	if c.Canceled() {
-		return parallel.ErrCanceled
-	}
-	return nil
-}
-
 // ParTriangulateCancel is ParTriangulate with cooperative cancellation
 // observed at round phase boundaries. On cancellation it returns
 // parallel.ErrCanceled and a nil mesh: rounds are atomic, so the engine's
@@ -384,11 +375,4 @@ func ParTriangulateCancel(pts []geom.Point, c *parallel.Canceler) (*Mesh, error)
 			return e.s.finish(), nil
 		}
 	}
-}
-
-// ParTriangulateCtx is ParTriangulateCancel driven by a context.
-func ParTriangulateCtx(ctx context.Context, pts []geom.Point) (*Mesh, error) {
-	c, stop := parallel.ContextCanceler(ctx)
-	defer stop()
-	return ParTriangulateCancel(pts, c)
 }

@@ -1,7 +1,6 @@
 package delaunay
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -180,7 +179,7 @@ func TestCancelRaceResume(t *testing.T) {
 	}
 }
 
-func TestParTriangulateCancelAndCtx(t *testing.T) {
+func TestParTriangulateCancel(t *testing.T) {
 	pts := geom.Dedup(geom.UniformSquare(rng.New(23), 800))
 	want := ParTriangulate(pts)
 
@@ -190,21 +189,16 @@ func TestParTriangulateCancelAndCtx(t *testing.T) {
 		meshEqual(t, "nil token", m, want)
 	}
 
+	var live parallel.Canceler
+	if m, err := ParTriangulateCancel(pts, &live); err != nil {
+		t.Fatalf("live-token ParTriangulateCancel err = %v", err)
+	} else {
+		meshEqual(t, "live token", m, want)
+	}
+
 	var c parallel.Canceler
 	c.Cancel()
 	if m, err := ParTriangulateCancel(pts, &c); !errors.Is(err, parallel.ErrCanceled) || m != nil {
 		t.Fatalf("pre-canceled: mesh=%v err=%v, want nil+ErrCanceled", m, err)
-	}
-
-	if m, err := ParTriangulateCtx(context.Background(), pts); err != nil {
-		t.Fatalf("background ctx err = %v", err)
-	} else {
-		meshEqual(t, "background ctx", m, want)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if m, err := ParTriangulateCtx(ctx, pts); !errors.Is(err, parallel.ErrCanceled) || m != nil {
-		t.Fatalf("done ctx: mesh=%v err=%v, want nil+ErrCanceled", m, err)
 	}
 }

@@ -2,6 +2,7 @@ package delaunay
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/hashtable"
@@ -190,20 +191,8 @@ func (d *BuildDelta) Validate() error {
 		return fmt.Errorf("delaunay: %d depths for %d suffix triangles", len(d.Depth), len(d.Tris))
 	}
 	nt := d.Base.Tris + len(d.Tris)
-	npts := int32(d.N + 3)
-	for i, t := range d.Tris {
-		for _, v := range t.V {
-			if v < 0 || v >= npts {
-				return fmt.Errorf("delaunay: suffix triangle %d corner %d out of range [0,%d)", i, v, npts)
-			}
-		}
-		prev := int32(-1)
-		for _, w := range t.E {
-			if w <= prev || int(w) >= d.N {
-				return fmt.Errorf("delaunay: suffix triangle %d has non-ascending or out-of-range encroacher %d", i, w)
-			}
-			prev = w
-		}
+	if err := checkParts(d.N, nt, d.Tris, d.Faces, d.Cand); err != nil {
+		return err
 	}
 	// A triangle's final status is fixed at creation (E empty at creation,
 	// final forever — the monotone-final invariant), so every final id
@@ -215,25 +204,6 @@ func (d *BuildDelta) Validate() error {
 				id, d.Base.Tris, nt)
 		}
 		prev = id
-	}
-	for _, f := range d.Faces {
-		a, b := faceEnds(f.Key)
-		if a < 0 || b < 0 || a >= npts || b >= npts || a > b {
-			return fmt.Errorf("delaunay: delta face key %#x has bad endpoints (%d, %d)", f.Key, a, b)
-		}
-		ent := decFace(f.W0, f.W1)
-		if ent.t0 < 0 || int(ent.t0) >= nt {
-			return fmt.Errorf("delaunay: delta face %#x references triangle %d out of range", f.Key, ent.t0)
-		}
-		if ent.t1 != NoTri && (ent.t1 < 0 || int(ent.t1) >= nt) {
-			return fmt.Errorf("delaunay: delta face %#x references triangle %d out of range", f.Key, ent.t1)
-		}
-	}
-	for _, k := range d.Cand {
-		a, b := faceEnds(k)
-		if a < 0 || b < 0 || a >= npts || b >= npts || a > b {
-			return fmt.Errorf("delaunay: delta candidate key %#x has bad endpoints (%d, %d)", k, a, b)
-		}
 	}
 	return nil
 }
@@ -274,23 +244,25 @@ func ApplyDelta(base *BuildState, d *BuildDelta) (*BuildState, error) {
 	return st, nil
 }
 
-// validate rejects states that cannot have come from a committed round
-// boundary: every index must land in range before ResumeLive builds an
-// engine around the data. Deep semantic checks (is this face map really
-// the boundary face map?) are the determinism suite's job; validate's is
-// memory safety and fail-fast on corrupt or adversarial input that got
-// past a decoder.
-func (st *BuildState) validate() error { return st.Validate() }
-
-// Validate is the exported form of the structural check, for callers (the
-// checkpoint restorer) that need to probe a decoded state for corruption
-// without paying for a full engine reconstruction attempt.
+// Validate rejects states that cannot have come from a committed round
+// boundary: every point must be finite and every index must land in range
+// before ResumeLive builds an engine around the data. Deep semantic checks
+// (is this face map really the boundary face map?) are the determinism
+// suite's job; Validate's is memory safety and fail-fast on corrupt or
+// adversarial input that got past a decoder. The checkpoint restorer
+// calls it to probe a decoded state without paying for a full engine
+// reconstruction attempt.
 func (st *BuildState) Validate() error {
 	if st.N < 0 || st.Round < 0 {
 		return fmt.Errorf("delaunay: state has negative n (%d) or round (%d)", st.N, st.Round)
 	}
 	if len(st.Pts) != st.N+3 {
 		return fmt.Errorf("delaunay: state has %d points, want n+3 = %d", len(st.Pts), st.N+3)
+	}
+	for i, p := range st.Pts {
+		if !finite(p.X) || !finite(p.Y) {
+			return fmt.Errorf("delaunay: point %d (%g, %g) is not finite", i, p.X, p.Y)
+		}
 	}
 	nt := len(st.Tris)
 	if nt < 1 {
@@ -299,20 +271,8 @@ func (st *BuildState) Validate() error {
 	if len(st.Depth) != nt {
 		return fmt.Errorf("delaunay: %d depths for %d triangles", len(st.Depth), nt)
 	}
-	npts := int32(st.N + 3)
-	for i, t := range st.Tris {
-		for _, v := range t.V {
-			if v < 0 || v >= npts {
-				return fmt.Errorf("delaunay: triangle %d corner %d out of range [0,%d)", i, v, npts)
-			}
-		}
-		prev := int32(-1)
-		for _, w := range t.E {
-			if w <= prev || int(w) >= st.N {
-				return fmt.Errorf("delaunay: triangle %d has non-ascending or out-of-range encroacher %d", i, w)
-			}
-			prev = w
-		}
+	if err := checkParts(st.N, nt, st.Tris, st.Faces, st.Cand); err != nil {
+		return err
 	}
 	prev := int32(-1)
 	for _, id := range st.Final {
@@ -324,23 +284,51 @@ func (st *BuildState) Validate() error {
 		}
 		prev = id
 	}
-	for _, f := range st.Faces {
-		a, b := faceEnds(f.Key)
-		if a < 0 || b < 0 || a >= npts || b >= npts || a > b {
-			return fmt.Errorf("delaunay: face key %#x has bad endpoints (%d, %d)", f.Key, a, b)
+	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// checkParts is the structural check a state and a delta share, against
+// n input points and a triangle log nt long: tris, the log's last
+// len(tris) records, must have in-range corners and ascending in-range
+// encroachers; every face key and candidate key must name two in-range
+// endpoints in order; every face entry must reference logged triangles.
+func checkParts(n, nt int, tris []Tri, faces []FaceRec, cand []uint64) error {
+	npts := int32(n + 3)
+	checkKey := func(what string, k uint64) error {
+		if a, b := faceEnds(k); a < 0 || b < 0 || a >= npts || b >= npts || a > b {
+			return fmt.Errorf("delaunay: %s key %#x has bad endpoints (%d, %d)", what, k, a, b)
 		}
-		ent := decFace(f.W0, f.W1)
-		if ent.t0 < 0 || int(ent.t0) >= nt {
-			return fmt.Errorf("delaunay: face %#x references triangle %d out of range", f.Key, ent.t0)
+		return nil
+	}
+	off := nt - len(tris)
+	for i, t := range tris {
+		for _, v := range t.V {
+			if v < 0 || v >= npts {
+				return fmt.Errorf("delaunay: triangle %d corner %d out of range [0,%d)", off+i, v, npts)
+			}
 		}
-		if ent.t1 != NoTri && (ent.t1 < 0 || int(ent.t1) >= nt) {
-			return fmt.Errorf("delaunay: face %#x references triangle %d out of range", f.Key, ent.t1)
+		prev := int32(-1)
+		for _, w := range t.E {
+			if w <= prev || int(w) >= n {
+				return fmt.Errorf("delaunay: triangle %d has non-ascending or out-of-range encroacher %d", off+i, w)
+			}
+			prev = w
 		}
 	}
-	for _, k := range st.Cand {
-		a, b := faceEnds(k)
-		if a < 0 || b < 0 || a >= npts || b >= npts || a > b {
-			return fmt.Errorf("delaunay: candidate key %#x has bad endpoints (%d, %d)", k, a, b)
+	for _, f := range faces {
+		if err := checkKey("face", f.Key); err != nil {
+			return err
+		}
+		ent := decFace(f.W0, f.W1)
+		if ent.t0 < 0 || int(ent.t0) >= nt || ent.t1 != NoTri && (ent.t1 < 0 || int(ent.t1) >= nt) {
+			return fmt.Errorf("delaunay: face %#x references a triangle outside [0,%d)", f.Key, nt)
+		}
+	}
+	for _, k := range cand {
+		if err := checkKey("candidate", k); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -361,7 +349,7 @@ func (st *BuildState) Validate() error {
 // them afterward (a decoded state never does; a captured one is immutable
 // by construction).
 func ResumeLive(st *BuildState) (*Live, error) {
-	if err := st.validate(); err != nil {
+	if err := st.Validate(); err != nil {
 		return nil, err
 	}
 	s := &store{pts: st.Pts, n: st.N, pred: &geom.PredicateStats{}}

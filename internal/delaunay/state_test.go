@@ -1,6 +1,7 @@
 package delaunay
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -163,13 +164,14 @@ func TestResumeRejectsCorruptState(t *testing.T) {
 			break
 		}
 	}
-	if err := base.validate(); err != nil {
+	if err := base.Validate(); err != nil {
 		t.Fatalf("genuine capture failed validation: %v", err)
 	}
 
 	// own deep-copies the parts each corruption mutates.
 	own := func() *BuildState {
 		st := *base
+		st.Pts = append([]geom.Point(nil), base.Pts...)
 		st.Tris = append([]Tri(nil), base.Tris...)
 		st.Depth = append([]int32(nil), base.Depth...)
 		st.Final = append([]int32(nil), base.Final...)
@@ -179,6 +181,8 @@ func TestResumeRejectsCorruptState(t *testing.T) {
 	}
 	for name, corrupt := range map[string]func(*BuildState){
 		"negative round":   func(st *BuildState) { st.Round = -1 },
+		"NaN point":        func(st *BuildState) { st.Pts[0].X = math.NaN() },
+		"infinite point":   func(st *BuildState) { st.Pts[1].X, st.Pts[1].Y = math.Inf(1), math.Inf(-1) },
 		"points truncated": func(st *BuildState) { st.Pts = st.Pts[:len(st.Pts)-1] },
 		"no triangles":     func(st *BuildState) { st.Tris, st.Depth = nil, nil },
 		"depth mismatch":   func(st *BuildState) { st.Depth = st.Depth[:len(st.Depth)-1] },
@@ -318,9 +322,44 @@ func TestDeltaRejectsMismatch(t *testing.T) {
 	if _, err := ApplyDelta(&other, d); err == nil {
 		t.Error("ApplyDelta accepted a base with a different point count")
 	}
-	bad := *d
-	bad.Final = append([]int32(nil), int32(0)) // names a prefix triangle
-	if err := bad.Validate(); err == nil {
-		t.Error("Validate accepted a suffix final id below the base watermark")
+	if len(d.Tris) == 0 || len(d.Faces) == 0 {
+		t.Fatalf("first round added %d triangles and left %d faces; want both > 0", len(d.Tris), len(d.Faces))
+	}
+	nt := d.Base.Tris + len(d.Tris)
+	for name, corrupt := range map[string]func(*BuildDelta){
+		"final below the base watermark": func(bad *BuildDelta) {
+			bad.Final = append([]int32(nil), int32(0)) // names a prefix triangle
+		},
+		"corner out of range": func(bad *BuildDelta) {
+			bad.Tris = append([]Tri(nil), d.Tris...)
+			bad.Tris[0].V[2] = int32(d.N + 3)
+		},
+		"encroacher out of range": func(bad *BuildDelta) {
+			bad.Tris = append([]Tri(nil), d.Tris...)
+			bad.Tris[len(bad.Tris)-1].E = []int32{int32(d.N)}
+		},
+		"face triangle out of range": func(bad *BuildDelta) {
+			bad.Faces = append([]FaceRec(nil), d.Faces...)
+			bad.Faces[0].W0 = uint64(uint32(int32(nt))) << 32
+		},
+		"face endpoint out of range": func(bad *BuildDelta) {
+			bad.Faces = append([]FaceRec(nil), d.Faces...)
+			bad.Faces[0].Key = uint64(uint32(d.N+5))<<32 | uint64(uint32(d.N+6))
+		},
+		"candidate endpoint out of range": func(bad *BuildDelta) {
+			bad.Cand = append(append([]uint64(nil), d.Cand...), uint64(uint32(d.N+7))<<32|uint64(uint32(d.N+7)))
+		},
+	} {
+		bad := *d
+		corrupt(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("Validate accepted a delta with a %s", name)
+		}
+		if _, err := ApplyDelta(base, &bad); err == nil {
+			t.Errorf("ApplyDelta accepted a delta with a %s", name)
+		}
+	}
+	if _, err := ApplyDelta(base, d); err != nil {
+		t.Errorf("ApplyDelta rejected the genuine delta: %v", err)
 	}
 }

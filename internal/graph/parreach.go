@@ -32,7 +32,7 @@ func ParReachFrom(g *Graph, src int, forward bool, in func(u int) bool) (visited
 // search.
 func ParReachFromCancel(g *Graph, src int, forward bool, in func(u int) bool, c *parallel.Canceler) (visited []int32, edgesScanned int64, err error) {
 	if !in(src) {
-		return nil, 0, canceledErr(c)
+		return nil, 0, c.Err()
 	}
 	if !forward {
 		g.EnsureReverse()
@@ -83,13 +83,5 @@ func ParReachFromCancel(g *Graph, src int, forward bool, in func(u int) bool, c 
 		slices.Sort(frontier)
 		visited = append(visited, frontier...)
 	}
-	return visited, edges.Load(), canceledErr(c)
-}
-
-// canceledErr mirrors the parallel package's exit contract.
-func canceledErr(c *parallel.Canceler) error {
-	if c.Canceled() {
-		return parallel.ErrCanceled
-	}
-	return nil
+	return visited, edges.Load(), c.Err()
 }

@@ -118,7 +118,7 @@ func (ec *epochCore) release(e uint64) {
 
 // retire parks a superseded root table in the registry at the current
 // epoch. Called by advanceRoot (the migration winner moving cur past a
-// drained table) and Clear (installing a fresh table over the old root).
+// drained table).
 func (ec *epochCore) retire(tab any) {
 	ec.mu.Lock()
 	ec.retired = append(ec.retired, retiredTable{epoch: ec.epoch.Load(), tab: tab})
@@ -171,9 +171,9 @@ func (s *snapRef) Close() {
 }
 
 // phaseDebug is the ridtdebug-tag phase-violation detector. The lock-free
-// table's bulk operations (Len, Range, Clear, Reserve, Flatten,
-// AdvanceEpoch) are phase operations: running one concurrently with a
-// mutator corrupts silently (torn sweeps, lost writes behind a Clear).
+// table's bulk operations (Len, Range, Flatten, AdvanceEpoch) are phase
+// operations: running one concurrently with a mutator corrupts silently
+// (torn sweeps, writes lost behind a migration).
 // Under `-tags ridtdebug` every mutator entry/exit maintains an atomic
 // in-flight count and every phase operation asserts it is zero; in the
 // default build debugPhase is a false constant and the hooks compile

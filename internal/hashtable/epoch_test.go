@@ -341,6 +341,7 @@ func TestDeferredReclamation(t *testing.T) {
 	hash := func(k int) uint64 { return Mix64(uint64(k)) }
 	for name, h := range map[string]interface {
 		Table[int, int]
+		Flatten()
 		retiredCount() int
 	}{
 		"inline": NewLockFreeInline[int, int](2, hash, EncInt, DecInt),
@@ -372,15 +373,6 @@ func TestDeferredReclamation(t *testing.T) {
 			h.AdvanceEpoch()
 			if n := h.retiredCount(); n != 0 {
 				t.Fatalf("retiredCount = %d after close+advance, want 0", n)
-			}
-			// Clear also retires, and reclaims on the next boundary.
-			h.Clear()
-			if h.retiredCount() == 0 {
-				t.Fatal("Clear did not retire the old root")
-			}
-			h.AdvanceEpoch()
-			if n := h.retiredCount(); n != 0 {
-				t.Fatalf("retiredCount = %d after Clear+advance, want 0", n)
 			}
 		})
 	}

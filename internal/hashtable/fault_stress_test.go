@@ -17,7 +17,7 @@ import (
 // the surviving writers (or a final Flatten) complete the migration and
 // the table must end exactly consistent with the writes that returned.
 
-func runMigratePanicStress(t *testing.T, mk func() Table[int, int]) {
+func runMigratePanicStress(t *testing.T, mk func() *LockFreeInline[int, int]) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(0)
 	if prev < 4 {
@@ -101,7 +101,7 @@ func runMigratePanicStress(t *testing.T, mk func() Table[int, int]) {
 }
 
 func TestLockFreeInlineMigratePanic(t *testing.T) {
-	runMigratePanicStress(t, func() Table[int, int] {
+	runMigratePanicStress(t, func() *LockFreeInline[int, int] {
 		return NewLockFreeInline[int, int](16, intHasher,
 			func(v int) (uint64, uint64) { return uint64(v), 0 },
 			func(a, _ uint64) int { return int(a) })

@@ -16,23 +16,15 @@ import "sync"
 // Table is the operation set the consumers program against; Map and
 // LockFreeInline both implement it. Update-style callbacks must be pure for
 // LockFreeInline (they may be re-run; see its doc comment), and the bulk
-// operations Len/Range/Clear are phase operations on it.
+// operations Len/Range are phase operations on it.
 type Table[K comparable, V any] interface {
 	Load(k K) (V, bool)
 	Store(k K, v V)
 	Delete(k K)
 	Update(k K, f func(old V, ok bool) V)
 	UpdateIf(k K, f func(old V, ok bool) (V, bool))
-	UpdateAndGet(k K, f func(old V, ok bool) V) V
-	LoadOrStore(k K, v V) (actual V, loaded bool)
 	Len() int
 	Range(f func(k K, v V) bool)
-	Clear()
-	// Flatten drives any in-flight cooperative migration to completion
-	// (phase operation: quiesce mutators first). Cancellation paths call
-	// it after abandoning a round mid-growth to prove the table is
-	// migration-free before reuse; a no-op on tables that never migrate.
-	Flatten()
 	// Epoch returns the table's current publication epoch (see epoch.go).
 	Epoch() uint64
 	// AdvanceEpoch flattens the table and bumps its epoch, reclaiming
@@ -150,31 +142,6 @@ func (m *Map[K, V]) UpdateIf(k K, f func(old V, ok bool) (V, bool)) {
 	s.mu.Unlock()
 }
 
-// UpdateAndGet is Update returning the stored value.
-func (m *Map[K, V]) UpdateAndGet(k K, f func(old V, ok bool) V) V {
-	s := m.shardFor(k)
-	s.mu.Lock()
-	old, ok := s.m[k]
-	v := f(old, ok)
-	s.m[k] = v
-	s.mu.Unlock()
-	return v
-}
-
-// LoadOrStore returns the existing value for k if present; otherwise it
-// stores and returns v. loaded is true if the value was already present.
-func (m *Map[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
-	s := m.shardFor(k)
-	s.mu.Lock()
-	if old, ok := s.m[k]; ok {
-		s.mu.Unlock()
-		return old, true
-	}
-	s.m[k] = v
-	s.mu.Unlock()
-	return v, false
-}
-
 // Len returns the total number of entries (taking each shard lock briefly).
 func (m *Map[K, V]) Len() int {
 	n := 0
@@ -205,19 +172,6 @@ func (m *Map[K, V]) Range(f func(k K, v V) bool) {
 				return
 			}
 		}
-	}
-}
-
-// Flatten is a no-op: the sharded map has no migration to complete.
-func (m *Map[K, V]) Flatten() {}
-
-// Clear removes all entries, retaining shard maps.
-func (m *Map[K, V]) Clear() {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		clear(s.m)
-		s.mu.Unlock()
 	}
 }
 

@@ -32,9 +32,8 @@ func TestBasicOps(t *testing.T) {
 	if _, ok := m.Load(1); ok {
 		t.Fatal("delete failed")
 	}
-	m.Clear()
-	if m.Len() != 0 {
-		t.Fatal("clear failed")
+	if m.Len() != 1 {
+		t.Fatalf("len=%d after delete", m.Len())
 	}
 }
 
@@ -65,19 +64,6 @@ func TestUpdate(t *testing.T) {
 	})
 	if v, _ := m.Load(5); v != 2 {
 		t.Fatalf("v=%d", v)
-	}
-	if got := m.UpdateAndGet(5, func(old int, ok bool) int { return old * 10 }); got != 20 {
-		t.Fatalf("UpdateAndGet=%d", got)
-	}
-}
-
-func TestLoadOrStore(t *testing.T) {
-	m := intMap(4)
-	if v, loaded := m.LoadOrStore(1, 100); loaded || v != 100 {
-		t.Fatalf("(%d,%v)", v, loaded)
-	}
-	if v, loaded := m.LoadOrStore(1, 200); !loaded || v != 100 {
-		t.Fatalf("(%d,%v)", v, loaded)
 	}
 }
 
@@ -199,13 +185,13 @@ func TestTableSuite(t *testing.T) {
 				if m.Len() != 1 {
 					t.Fatalf("len=%d after deletes", m.Len())
 				}
-				m.Clear()
+				m.Delete(2)
 				if m.Len() != 0 {
-					t.Fatal("clear failed")
+					t.Fatal("delete of the last key left entries")
 				}
-				m.Store(3, 30) // usable after Clear
-				if v, _ := m.Load(3); v != 30 {
-					t.Fatal("store after clear")
+				m.Store(1, 30) // a deleted key can be stored again
+				if v, _ := m.Load(1); v != 30 {
+					t.Fatal("store after delete")
 				}
 			})
 
@@ -225,9 +211,6 @@ func TestTableSuite(t *testing.T) {
 				})
 				if v, _ := m.Load(5); v != 2 {
 					t.Fatalf("v=%d", v)
-				}
-				if got := m.UpdateAndGet(5, func(old int, ok bool) int { return old * 10 }); got != 20 {
-					t.Fatalf("UpdateAndGet=%d", got)
 				}
 				// Update after delete sees absent.
 				m.Delete(5)
@@ -282,20 +265,6 @@ func TestTableSuite(t *testing.T) {
 				m.UpdateIf(9, minWrite(99))
 				if v, _ := m.Load(9); v != 99 {
 					t.Fatalf("after delete+insert: %d", v)
-				}
-			})
-
-			t.Run("loadorstore", func(t *testing.T) {
-				m := mk()
-				if v, loaded := m.LoadOrStore(1, 100); loaded || v != 100 {
-					t.Fatalf("(%d,%v)", v, loaded)
-				}
-				if v, loaded := m.LoadOrStore(1, 200); !loaded || v != 100 {
-					t.Fatalf("(%d,%v)", v, loaded)
-				}
-				m.Delete(1)
-				if v, loaded := m.LoadOrStore(1, 300); loaded || v != 300 {
-					t.Fatalf("after delete: (%d,%v)", v, loaded)
 				}
 			})
 

@@ -163,8 +163,8 @@ func newInTable[K comparable](capacity int) *inTable[K] {
 // LockFreeInline is a lock-free, growable, phase-concurrent hash table for
 // values that encode into two 64-bit words (small PODs). Any mix of
 // per-key operations may run from any number of goroutines, including
-// across a growth; the bulk operations (Len, Range, Clear, Reserve) are
-// phase operations that must not run concurrently with mutators.
+// across a growth; the bulk operations (Len, Range, Flatten, AdvanceEpoch)
+// are phase operations that must not run concurrently with mutators.
 // Update-style callbacks run exactly once per call, under the slot's write
 // lock, but must still be pure (they may be re-invoked when a migration
 // forces the operation to restart in the next table before the callback's
@@ -220,9 +220,10 @@ func inFindRead[K comparable](t *inTable[K], k K, hv uint64) (s *inSlot[K], desc
 			break
 		}
 	}
-	// Probed every slot without an empty: treat as a full table (can only
-	// happen transiently at extreme load); the key is not here.
-	return nil, false
+	// Probed every slot without an empty: the table filled up before its
+	// migration poisoned any slot (transient, at extreme load). The key is
+	// not here, but a writer that found no room claimed it in t.next.
+	return nil, t.next.Load() != nil
 }
 
 // findClaim probes t for k, claiming the first empty slot if k is absent.
@@ -242,7 +243,7 @@ func (h *LockFreeInline[K, V]) findClaim(t *inTable[K], k K, hv uint64) (s *inSl
 				sl.key = k
 				sl.state.Store(slotFull)
 				if c := t.claims.Add(1); c >= t.limit {
-					h.grow(t, 0)
+					h.grow(t)
 				}
 				return sl, false, true
 			case slotBusy:
@@ -261,17 +262,13 @@ func (h *LockFreeInline[K, V]) findClaim(t *inTable[K], k K, hv uint64) (s *inSl
 	return nil, false, false
 }
 
-func (h *LockFreeInline[K, V]) grow(t *inTable[K], minCap int) {
+func (h *LockFreeInline[K, V]) grow(t *inTable[K]) {
 	if t.next.Load() == nil {
 		factor := 4
 		if len(t.slots) >= 1<<16 {
 			factor = 2
 		}
-		want := factor * len(t.slots)
-		if want < minCap {
-			want = minCap
-		}
-		t.next.CompareAndSwap(nil, newInTable[K](want))
+		t.next.CompareAndSwap(nil, newInTable[K](factor*len(t.slots)))
 	}
 	h.helpMigrate(t, 2)
 }
@@ -384,7 +381,7 @@ func (h *LockFreeInline[K, V]) installFrozen(nt *inTable[K], k K, a, b uint64) {
 			nt = nt.next.Load()
 			continue
 		}
-		h.grow(nt, 0)
+		h.grow(nt)
 		h.helpMigrateCtl(nt, 1, false)
 		nt = nt.next.Load()
 	}
@@ -492,7 +489,7 @@ func (h *LockFreeInline[K, V]) loadAfterFreeze(t *inTable[K], k K, hv uint64) (V
 	return zero, loadMiss
 }
 
-// apply is the shared write path behind Store/Update/Delete/LoadOrStore.
+// apply is the shared write path behind Store/Update/UpdateIf.
 // f maps the current state to (new value, write?); returning write=false
 // leaves the slot as is. f runs exactly once, under the slot's write lock,
 // after the migration check — but may be re-invoked if the operation must
@@ -514,7 +511,7 @@ func (h *LockFreeInline[K, V]) apply(k K, f func(old V, present bool) (V, bool))
 				t = t.next.Load()
 				continue
 			}
-			h.grow(t, 0)
+			h.grow(t)
 			h.helpMigrate(t, 1)
 			t = t.next.Load()
 			continue
@@ -614,33 +611,9 @@ func (h *LockFreeInline[K, V]) UpdateIf(k K, f func(old V, ok bool) (V, bool)) {
 	h.apply(k, f)
 }
 
-// UpdateAndGet is Update returning the stored value.
-func (h *LockFreeInline[K, V]) UpdateAndGet(k K, f func(old V, ok bool) V) V {
-	var res V
-	h.apply(k, func(old V, present bool) (V, bool) {
-		res = f(old, present)
-		return res, true
-	})
-	return res
-}
-
-// LoadOrStore returns the existing value for k if present; otherwise it
-// stores and returns v.
-func (h *LockFreeInline[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
-	h.apply(k, func(old V, present bool) (V, bool) {
-		if present {
-			actual, loaded = old, true
-			return old, false
-		}
-		actual, loaded = v, false
-		return v, true
-	})
-	return actual, loaded
-}
-
 // Flatten drives any in-flight migration to completion. Phase operation:
-// callers must quiesce mutators first. Bulk operations (Len, Range, Clear,
-// ...) call it implicitly; it is exported so cancellation and
+// callers must quiesce mutators first. The other bulk operations (Len,
+// Range, AdvanceEpoch) call it implicitly; it is exported so cancellation and
 // crash-recovery paths can prove a table is migration-free — and hence
 // fully usable by per-key and bulk operations alike — after a round is
 // abandoned or faulted mid-growth.
@@ -735,29 +708,6 @@ func (h *LockFreeInline[K, V]) Range(f func(k K, v V) bool) {
 			return
 		}
 	}
-}
-
-// Clear removes all entries by installing a fresh minimum-size table.
-// The displaced root is retired, not dropped: open snapshots keep
-// reading the old contents. Phase operation.
-func (h *LockFreeInline[K, V]) Clear() {
-	h.assertQuiesced("Clear")
-	old := h.flatten()
-	h.cur.Store(newInTable[K](0))
-	h.retire(old)
-}
-
-// Reserve grows the table so at least capacity entries fit without a
-// migration. Phase operation.
-func (h *LockFreeInline[K, V]) Reserve(capacity int) {
-	h.assertQuiesced("Reserve")
-	t := h.flatten()
-	need := capacity*4/3 + 1
-	if len(t.slots) >= need {
-		return
-	}
-	h.grow(t, need)
-	h.flatten()
 }
 
 // AdvanceEpoch flattens the table (phase operation) and bumps the epoch,

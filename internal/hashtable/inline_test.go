@@ -3,9 +3,10 @@ package hashtable
 // Tests specific to the lock-free table: torn-read stress (the seqlock's
 // whole job is multi-word consistency), allocation pins for the write
 // paths, growth (sequential with tombstones, and concurrent), priority
-// writes, Reserve, and a deterministic phase stress with exact final
-// contents. The oracle and fuzz suites replay every stream through
-// LockFreeInline as well (oracle_test.go, fuzz_test.go).
+// writes, a full root table whose keys live in its successor, and a
+// deterministic phase stress with exact final contents. The oracle and
+// fuzz suites replay every stream through LockFreeInline as well
+// (oracle_test.go, fuzz_test.go).
 
 import (
 	"runtime"
@@ -341,17 +342,48 @@ func TestLockFreeGrowth(t *testing.T) {
 	})
 }
 
+// TestInlineFullTableDescends: a root table can fill up completely
+// before its migration poisons any slot; a writer that finds no room then
+// claims its key in the successor. Reads and deletes probing the full
+// root must follow it there instead of reporting the key absent.
+func TestInlineFullTableDescends(t *testing.T) {
+	h := newInlineInt(1)
+	root := h.cur.Load()
+	for i := range root.slots { // every slot full, none poisoned
+		sl := &root.slots[i]
+		sl.key = 1000 + i
+		sl.meta.Store(imHas)
+		sl.state.Store(slotFull)
+	}
+	next := newInTable[int](16)
+	root.next.Store(next)
+	h.installFrozen(next, 7, 70, 0) // the key lives only in the successor
+	if v, ok := h.Load(7); !ok || v != 70 {
+		t.Fatalf("Load(7) through a full root = (%d, %v), want (70, true)", v, ok)
+	}
+	h.Delete(7)
+	if v, ok := h.Load(7); ok {
+		t.Fatalf("Load(7) after Delete through a full root = %d, want absent", v)
+	}
+}
+
 func TestLockFreePriorityWrite(t *testing.T) {
-	// LoadOrStore is a priority write: exactly one writer per key wins and
-	// everyone observes the winner.
+	// Store-if-absent through UpdateIf is a priority write: exactly one
+	// writer per key wins and everyone observes the winner.
 	m := newInlineInt(8)
 	const n, keys = 20000, 64
 	won := make([]atomic.Int64, keys)
 	observed := make([]int64, n)
 	parallel.For(0, n, func(i int) {
 		k := i % keys
-		v, loaded := m.LoadOrStore(k, i)
-		if !loaded {
+		m.UpdateIf(k, func(old int, ok bool) (int, bool) {
+			if ok {
+				return old, false
+			}
+			return i, true
+		})
+		v, _ := m.Load(k)
+		if v == i {
 			won[k].Add(1)
 		}
 		observed[i] = int64(v)
@@ -366,25 +398,6 @@ func TestLockFreePriorityWrite(t *testing.T) {
 		v, _ := m.Load(k)
 		if observed[i] != int64(v) {
 			t.Fatalf("op %d observed %d, final %d", i, observed[i], v)
-		}
-	}
-}
-
-func TestLockFreeReserve(t *testing.T) {
-	m := newInlineInt(1)
-	for i := 0; i < 10; i++ {
-		m.Store(i, i)
-	}
-	m.Reserve(10000)
-	for i := 10; i < 10000; i++ {
-		m.Store(i, i)
-	}
-	if m.Len() != 10000 {
-		t.Fatalf("len=%d", m.Len())
-	}
-	for i := 0; i < 10000; i += 997 {
-		if v, ok := m.Load(i); !ok || v != i {
-			t.Fatalf("key %d = (%d,%v)", i, v, ok)
 		}
 	}
 }

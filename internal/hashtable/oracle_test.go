@@ -20,7 +20,6 @@ const (
 	opLoad
 	opDelete
 	opUpdate
-	opLoadOrStore
 	opUpdateIf  // conditional write: min-write discipline with no-op path
 	opGrowBurst // bulk insert to force a resize mid-stream
 	numOps
@@ -55,21 +54,6 @@ func replayStep(t *testing.T, impl string, step int, tab Table[int, int], oracle
 		if old, ok := oracle[key]; ok {
 			oracle[key] = old + val
 		} else {
-			oracle[key] = val
-		}
-	case opLoadOrStore:
-		got, loaded := tab.LoadOrStore(key, val)
-		want, wok := oracle[key]
-		if loaded != wok {
-			t.Fatalf("%s step %d: LoadOrStore(%d) loaded=%v, oracle present=%v", impl, step, key, loaded, wok)
-		}
-		if loaded && got != want {
-			t.Fatalf("%s step %d: LoadOrStore(%d) = %d, oracle %d", impl, step, key, got, want)
-		}
-		if !loaded {
-			if got != val {
-				t.Fatalf("%s step %d: LoadOrStore(%d) stored %d, want %d", impl, step, key, got, val)
-			}
 			oracle[key] = val
 		}
 	case opUpdateIf:
@@ -201,19 +185,12 @@ func TestOracleImplsAgree(t *testing.T) {
 				}
 				return old*3 + val
 			}
-			av := a.UpdateAndGet(key, f)
+			a.Update(key, f)
+			av, _ := a.Load(key)
 			for impl, b := range others {
-				bv := b.UpdateAndGet(key, f)
-				if av != bv {
-					t.Fatalf("step %d: UpdateAndGet(%d) sharded %d %s %d", step, key, av, impl, bv)
-				}
-			}
-		case opLoadOrStore:
-			av, al := a.LoadOrStore(key, val)
-			for impl, b := range others {
-				bv, bl := b.LoadOrStore(key, val)
-				if av != bv || al != bl {
-					t.Fatalf("step %d: LoadOrStore(%d) sharded (%d,%v) %s (%d,%v)", step, key, av, al, impl, bv, bl)
+				b.Update(key, f)
+				if bv, _ := b.Load(key); av != bv {
+					t.Fatalf("step %d: Update(%d) sharded %d %s %d", step, key, av, impl, bv)
 				}
 			}
 		case opGrowBurst:

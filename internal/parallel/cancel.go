@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 )
@@ -9,10 +8,10 @@ import (
 // Cooperative cancellation for the loop primitives.
 //
 // A Canceler is a level-triggered token: once Cancel is called, every
-// *Cancel loop variant observing it stops claiming new work, drains the
-// unclaimed remainder, and returns ErrCanceled. Cancellation is
-// cooperative and bounded — each participant finishes at most the grain's
-// worth of iterations it had already started, so at most
+// loop observing it (ForGrainCancel, BlocksNCancel) stops claiming new
+// work, drains the unclaimed remainder, and returns ErrCanceled.
+// Cancellation is cooperative and bounded — each participant finishes at
+// most the grain's worth of iterations it had already started, so at most
 // MaxProcs()*grain iterations execute after Cancel returns (plus the
 // chunks other participants had claimed but not begun, each of which is
 // abandoned at its next grain boundary). Results of iterations that did
@@ -23,24 +22,23 @@ import (
 // The token is a single atomic word. Checking it is a nil-safe atomic
 // load, Cancel is an atomic store; both are safe from any goroutine,
 // including loop bodies and signal handlers. A nil *Canceler is a valid
-// "never canceled" token: the *Cancel variants degrade to their plain
-// counterparts at zero cost.
+// "never canceled" token, and it is what the plain loops (For, ForGrain,
+// Blocks, BlocksN) pass: every loop runs on the one cancellable path.
 //
 // Panic propagation is unchanged by cancellation: if a body panics, the
 // first panic value is re-raised on the caller even if the token was also
 // canceled — a panic is an answer, cancellation is the lack of one.
 
-// ErrCanceled is returned by the *Cancel and *Ctx loop variants when the
-// loop's token was canceled by the time the loop returned. The loop may
-// still have completed every iteration (cancellation racing completion);
-// callers treating ErrCanceled as "results are partial" are always safe.
+// ErrCanceled is returned by the cancellable loops when the loop's token
+// was canceled by the time the loop returned. The loop may still have
+// completed every iteration (cancellation racing completion); callers
+// treating ErrCanceled as "results are partial" are always safe.
 var ErrCanceled = errors.New("parallel: loop canceled")
 
 // Canceler is a cooperative cancellation token shared by a loop's
 // participants. The zero value is ready to use. A Canceler may be reused
 // across loops (cancel applies to all loops observing it) but not reset:
-// cancellation is one-way. See ContextCanceler to derive one from a
-// context deadline.
+// cancellation is one-way.
 type Canceler struct {
 	flag atomic.Uint32
 }
@@ -61,80 +59,54 @@ func (c *Canceler) Canceled() bool {
 	return c != nil && c.flag.Load() != 0
 }
 
-// ContextCanceler returns a Canceler that cancels when ctx does, and a
-// stop function releasing the link (call it when the loops sharing the
-// token are done; it does not un-cancel). If ctx is already done the
-// token comes back canceled.
-func ContextCanceler(ctx context.Context) (*Canceler, func()) {
-	c := &Canceler{}
-	if ctx.Err() != nil {
-		// AfterFunc on a done context fires asynchronously; cancel
-		// synchronously so a loop started right after sees the token down
-		// before claiming anything.
-		c.Cancel()
-		return c, func() {}
-	}
-	stop := context.AfterFunc(ctx, c.Cancel)
-	return c, func() { stop() }
-}
-
-// errIfCanceled implements the exit contract shared by every *Cancel
-// variant: ErrCanceled iff the token is canceled when the loop returns.
-func errIfCanceled(c *Canceler) error {
+// Err is the exit contract every cancellable loop and engine shares:
+// ErrCanceled iff the token is canceled, nil otherwise (always nil on a
+// nil receiver).
+func (c *Canceler) Err() error {
 	if c.Canceled() {
 		return ErrCanceled
 	}
 	return nil
 }
 
-// ForCancel is For with a cancellation token: body(i) runs for i in
-// [lo, hi) unless c is canceled first, in which case the loop stops
-// claiming work, drains, and returns ErrCanceled. A nil token makes it
-// exactly For.
-func ForCancel(lo, hi int, c *Canceler, body func(i int)) error {
-	return ForGrainCancel(lo, hi, 0, c, body)
-}
-
 // ForGrainCancel is ForGrain with a cancellation token. The token is
 // checked between grain-sized runs of iterations inside each chunk, so a
 // participant executes at most ~grain iterations past observing
 // cancellation regardless of chunk size. grain <= 0 selects DefaultGrain.
+// A nil token never cancels, and the loop then returns nil.
 func ForGrainCancel(lo, hi, grain int, c *Canceler, body func(i int)) error {
-	if c == nil {
-		ForGrain(lo, hi, grain, body)
-		return nil
-	}
 	n := hi - lo
 	if n <= 0 {
-		return errIfCanceled(c)
+		return c.Err()
 	}
 	if grain <= 0 {
 		grain = DefaultGrain
 	}
 	nb := chunksFor(n, grain)
 	if nb <= 1 || MaxProcs() == 1 {
-		runSpanCancel(lo, hi, grain, c, body)
-		return errIfCanceled(c)
+		runSpan(lo, hi, grain, c, body)
+		return c.Err()
 	}
-	runLoopCancel(nb, c, func(b int) {
+	runLoop(nb, c, func(b int) {
 		s, e := chunkBounds(lo, hi, b, nb)
-		runSpanCancel(s, e, grain, c, body)
+		runSpan(s, e, grain, c, body)
 	})
-	return errIfCanceled(c)
+	return c.Err()
 }
 
-// runSpanCancel runs body over [lo, hi) in grain-sized runs, re-checking
-// the token before each run. It is the sub-chunk check loop that turns
-// per-chunk cancellation into per-grain cancellation.
-func runSpanCancel(lo, hi, grain int, c *Canceler, body func(i int)) {
+// runSpan runs body over [lo, hi) in grain-sized runs, re-checking the
+// token before each run. It is the sub-chunk check loop that turns
+// per-chunk cancellation into per-grain cancellation; a nil token, which
+// never cancels, runs the span as one run.
+func runSpan(lo, hi, grain int, c *Canceler, body func(i int)) {
+	if c == nil {
+		grain = hi - lo
+	}
 	for s := lo; s < hi; {
 		if c.Canceled() {
 			return
 		}
-		e := s + grain
-		if e > hi {
-			e = hi
-		}
+		e := min(s+grain, hi)
 		for i := s; i < e; i++ {
 			body(i)
 		}
@@ -142,79 +114,32 @@ func runSpanCancel(lo, hi, grain int, c *Canceler, body func(i int)) {
 	}
 }
 
-// BlocksCancel is Blocks with a cancellation token, checked before each
-// block. Blocks are opaque to the scheduler, so cancellation granularity
-// is one block: a body that runs long past the grain should poll
-// c.Canceled itself.
-func BlocksCancel(lo, hi, grain int, c *Canceler, body func(lo, hi int)) error {
-	if c == nil {
-		Blocks(lo, hi, grain, body)
-		return nil
-	}
-	n := hi - lo
-	if n <= 0 {
-		return errIfCanceled(c)
-	}
-	runBlocksCancel(lo, hi, chunksFor(n, grain), c, func(_, s, e int) { body(s, e) })
-	return errIfCanceled(c)
-}
-
 // BlocksNCancel is BlocksN with a cancellation token, checked before each
 // block. The partition is pinned by the caller exactly as in BlocksN:
 // block b, when it runs, covers the same index range cancellation or not.
+// Blocks are opaque to the scheduler, so cancellation granularity is one
+// block: a body that runs long should poll c.Canceled itself.
 func BlocksNCancel(lo, hi, nb int, c *Canceler, body func(b, lo, hi int)) error {
-	if c == nil {
-		BlocksN(lo, hi, nb, body)
-		return nil
-	}
 	n := hi - lo
 	if n <= 0 {
-		return errIfCanceled(c)
+		return c.Err()
 	}
-	if nb < 1 {
-		nb = 1
-	}
-	if nb > n {
-		nb = n
-	}
-	runBlocksCancel(lo, hi, nb, c, body)
-	return errIfCanceled(c)
+	runBlocks(lo, hi, min(max(nb, 1), n), c, body)
+	return c.Err()
 }
 
-func runBlocksCancel(lo, hi, nb int, c *Canceler, body func(b, lo, hi int)) {
+// runBlocks runs body over [lo, hi) split into exactly nb blocks,
+// checking the token before each block.
+func runBlocks(lo, hi, nb int, c *Canceler, body func(b, lo, hi int)) {
 	if nb == 1 || MaxProcs() == 1 {
-		for b := 0; b < nb; b++ {
-			if c.Canceled() {
-				return
-			}
+		for b := 0; b < nb && !c.Canceled(); b++ {
 			s, e := chunkBounds(lo, hi, b, nb)
 			body(b, s, e)
 		}
 		return
 	}
-	runLoopCancel(nb, c, func(b int) {
+	runLoop(nb, c, func(b int) {
 		s, e := chunkBounds(lo, hi, b, nb)
 		body(b, s, e)
 	})
-}
-
-// ForCtx is ForCancel driven by a context: the loop stops early when ctx
-// is done and reports ErrCanceled. The context link is released before
-// returning.
-func ForCtx(ctx context.Context, lo, hi int, body func(i int)) error {
-	return ForGrainCtx(ctx, lo, hi, 0, body)
-}
-
-// ForGrainCtx is ForGrainCancel driven by a context.
-func ForGrainCtx(ctx context.Context, lo, hi, grain int, body func(i int)) error {
-	c, stop := ContextCanceler(ctx)
-	defer stop()
-	return ForGrainCancel(lo, hi, grain, c, body)
-}
-
-// BlocksCtx is BlocksCancel driven by a context.
-func BlocksCtx(ctx context.Context, lo, hi, grain int, body func(lo, hi int)) error {
-	c, stop := ContextCanceler(ctx)
-	defer stop()
-	return BlocksCancel(lo, hi, grain, c, body)
 }

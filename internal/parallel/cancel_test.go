@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -11,22 +10,43 @@ import (
 func TestCancelerNilSafe(t *testing.T) {
 	var c *Canceler
 	c.Cancel() // must not panic
-	if c.Canceled() {
-		t.Fatal("nil canceler reports canceled")
+	if c.Canceled() || c.Err() != nil {
+		t.Fatalf("nil canceler reports canceled (err %v)", c.Err())
 	}
-	if err := ForCancel(0, 100, nil, func(int) {}); err != nil {
-		t.Fatalf("nil-token ForCancel = %v", err)
+	if err := ForGrainCancel(0, 100, 0, nil, func(int) {}); err != nil {
+		t.Fatalf("nil-token ForGrainCancel = %v", err)
+	}
+	if err := BlocksNCancel(0, 100, 4, nil, func(int, int, int) {}); err != nil {
+		t.Fatalf("nil-token BlocksNCancel = %v", err)
+	}
+	var live Canceler
+	if live.Err() != nil {
+		t.Fatalf("live token Err = %v", live.Err())
+	}
+	live.Cancel()
+	if !errors.Is(live.Err(), ErrCanceled) {
+		t.Fatalf("canceled token Err = %v, want ErrCanceled", live.Err())
 	}
 }
 
 func TestForCancelCompletesWhenNotCanceled(t *testing.T) {
 	var c Canceler
 	var ran atomic.Int64
-	if err := ForCancel(0, 10000, &c, func(int) { ran.Add(1) }); err != nil {
+	if err := ForGrainCancel(0, 10000, 0, &c, func(int) { ran.Add(1) }); err != nil {
 		t.Fatalf("uncanceled loop = %v", err)
 	}
 	if ran.Load() != 10000 {
 		t.Fatalf("ran %d of 10000", ran.Load())
+	}
+	// The block form covers the whole range too.
+	ran.Store(0)
+	if err := BlocksNCancel(0, 5000, NumBlocks(5000, 64), &c, func(_, lo, hi int) {
+		ran.Add(int64(hi - lo))
+	}); err != nil {
+		t.Fatalf("uncanceled BlocksNCancel = %v", err)
+	}
+	if ran.Load() != 5000 {
+		t.Fatalf("BlocksNCancel covered %d of 5000", ran.Load())
 	}
 }
 
@@ -34,7 +54,7 @@ func TestForCancelAlreadyCanceled(t *testing.T) {
 	var c Canceler
 	c.Cancel()
 	var ran atomic.Int64
-	err := ForCancel(0, 10000, &c, func(int) { ran.Add(1) })
+	err := ForGrainCancel(0, 10000, 0, &c, func(int) { ran.Add(1) })
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -93,11 +113,26 @@ func TestCancelErrIffCanceledAtExit(t *testing.T) {
 
 func TestPoolReusableAfterCancel(t *testing.T) {
 	var c Canceler
-	ForCancel(0, 1<<20, &c, func(i int) {
+	ForGrainCancel(0, 1<<20, 0, &c, func(i int) {
 		if i == 0 {
 			c.Cancel()
 		}
 	})
+	// A token canceled from outside the loop (a deadline timer) cuts a
+	// loop of slow bodies short just the same.
+	var deadline Canceler
+	timer := time.AfterFunc(5*time.Millisecond, deadline.Cancel)
+	defer timer.Stop()
+	start := time.Now()
+	err := ForGrainCancel(0, 1<<30, 1, &deadline, func(int) {
+		time.Sleep(100 * time.Microsecond)
+	})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("deadline loop = %v, want ErrCanceled", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("deadline loop ran %v, cancellation did not bite", elapsed)
+	}
 	// The pool must be fully functional for the next, unrelated loop.
 	var ran atomic.Int64
 	For(0, 100000, func(int) { ran.Add(1) })
@@ -152,9 +187,9 @@ func TestBlocksCancelPartial(t *testing.T) {
 	var c Canceler
 	c.Cancel()
 	var called atomic.Bool
-	err := BlocksCancel(0, 1<<16, 64, &c, func(lo, hi int) { called.Store(true) })
+	err := BlocksNCancel(0, 1<<16, NumBlocks(1<<16, 64), &c, func(_, lo, hi int) { called.Store(true) })
 	if !errors.Is(err, ErrCanceled) || called.Load() {
-		t.Fatalf("pre-canceled BlocksCancel: err=%v called=%v", err, called.Load())
+		t.Fatalf("pre-canceled BlocksNCancel: err=%v called=%v", err, called.Load())
 	}
 }
 
@@ -180,50 +215,5 @@ func TestBlocksNCancelPinnedPartition(t *testing.T) {
 		if seen[b].Load() && got[b] != want[b] {
 			t.Fatalf("block %d ran over %v, BlocksN gives %v", b, got[b], want[b])
 		}
-	}
-}
-
-func TestForCtx(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	if err := ForCtx(ctx, 0, 10000, func(int) { ran.Add(1) }); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("done-context ForCtx = %v, want ErrCanceled", err)
-	}
-	if ran.Load() != 0 {
-		t.Fatalf("done-context loop ran %d iterations", ran.Load())
-	}
-	if err := ForCtx(context.Background(), 0, 10000, func(int) { ran.Add(1) }); err != nil {
-		t.Fatalf("live-context ForCtx = %v", err)
-	}
-	if ran.Load() != 10000 {
-		t.Fatalf("live-context loop ran %d of 10000", ran.Load())
-	}
-}
-
-func TestForGrainCtxDeadline(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err := ForGrainCtx(ctx, 0, 1<<30, 1, func(int) {
-		time.Sleep(100 * time.Microsecond)
-	})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("deadline loop = %v, want ErrCanceled", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadline loop ran %v, cancellation did not bite", elapsed)
-	}
-}
-
-func TestBlocksCtx(t *testing.T) {
-	var ran atomic.Int64
-	if err := BlocksCtx(context.Background(), 0, 5000, 64, func(lo, hi int) {
-		ran.Add(int64(hi - lo))
-	}); err != nil {
-		t.Fatalf("BlocksCtx = %v", err)
-	}
-	if ran.Load() != 5000 {
-		t.Fatalf("BlocksCtx covered %d of 5000", ran.Load())
 	}
 }

@@ -12,8 +12,8 @@ const minIndexPollStride = 64
 // It is the reservation step of a deterministic reserve/commit round
 // (GBBS-style): every index in the range races to reserve a shared
 // priority-write cell (PriorityCell) with its own index as the priority,
-// and the smallest reservation wins. Unlike MinIndexFunc — a tree
-// reduction that evaluates every predicate — chunks consult the cell
+// and the smallest reservation wins. Unlike a tree reduction (Reduce),
+// which evaluates every predicate, chunks consult the cell
 // before and during their scan and abandon work that can no longer win, so
 // the expected number of predicate evaluations is proportional to the
 // winning index's position, not the range width, while the result stays
@@ -43,7 +43,7 @@ func ReduceMinIndex(lo, hi, grain int, pred func(i int) bool) (idx int, ok bool)
 		return 0, false
 	}
 	var winner PriorityCell
-	runLoop(nb, func(b int) {
+	runLoop(nb, nil, func(b int) {
 		s, e := chunkBounds(lo, hi, b, nb)
 		if w, reserved := winner.Load(); reserved && w < int64(s) {
 			return // an earlier chunk already holds a smaller reservation

@@ -1,6 +1,6 @@
 // Package parallel provides the shared-memory parallel primitives that the
 // rest of the repository builds on: grained parallel loops, reductions,
-// prefix sums, compaction (pack/filter), and priority-write cells.
+// prefix sums, compaction (pack), and priority-write cells.
 //
 // The primitives mirror the CRCW PRAM operations assumed by Blelloch, Gu,
 // Shun and Sun ("Parallelism in Randomized Incremental Algorithms", SPAA
@@ -78,9 +78,7 @@ func chunkBounds(lo, hi, b, nb int) (int, int) {
 
 // For runs body(i) for every i in [lo, hi) with automatic grain selection.
 // It blocks until all iterations complete. Iterations must be independent.
-func For(lo, hi int, body func(i int)) {
-	ForGrain(lo, hi, 0, body)
-}
+func For(lo, hi int, body func(i int)) { ForGrain(lo, hi, 0, body) }
 
 // ForGrain is For with an explicit grain: the loop splits into at most
 // ceil((hi-lo)/grain) chunks of near-equal size, so each chunk holds at
@@ -89,83 +87,27 @@ func For(lo, hi int, body func(i int)) {
 // fine for heavy loop bodies: chunks are claimed from the pool, not
 // spawned, so the per-chunk cost is an atomic increment rather than a
 // goroutine.
-func ForGrain(lo, hi, grain int, body func(i int)) {
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	nb := chunksFor(n, grain)
-	if nb <= 1 || MaxProcs() == 1 {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-		return
-	}
-	runLoop(nb, func(b int) {
-		s, e := chunkBounds(lo, hi, b, nb)
-		for i := s; i < e; i++ {
-			body(i)
-		}
-	})
-}
+func ForGrain(lo, hi, grain int, body func(i int)) { ForGrainCancel(lo, hi, grain, nil, body) }
 
 // Blocks runs body(lo', hi') over a partition of [lo, hi) into at most
 // ceil((hi-lo)/grain) contiguous near-equal blocks (each at least ~grain/2
 // iterations). It is the bulk form of ForGrain for bodies that want to
 // amortize per-chunk setup (local buffers, counters). The body is invoked
 // exactly NumBlocks(hi-lo, grain) times, even on a single-core run; when
-// per-block results are allocated from NumBlocks up front, prefer BlocksN
+// per-block results are allocated from NumBlocks up front, use BlocksN
 // with that count so the partition cannot shift under a concurrent
 // GOMAXPROCS change.
 func Blocks(lo, hi, grain int, body func(lo, hi int)) {
-	BlocksIndexed(lo, hi, grain, func(_, s, e int) { body(s, e) })
-}
-
-// BlocksIndexed is Blocks with the block number passed to the body:
-// body(b, lo', hi') with b in [0, NumBlocks(hi-lo, grain)). The index lets
-// per-block outputs be written to out[b] directly instead of threading an
-// atomic block counter through the body.
-func BlocksIndexed(lo, hi, grain int, body func(b, lo, hi int)) {
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	runBlocks(lo, hi, chunksFor(n, grain), body)
+	BlocksNCancel(lo, hi, NumBlocks(hi-lo, grain), nil, func(_, s, e int) { body(s, e) })
 }
 
 // BlocksN runs body(b, lo', hi') over [lo, hi) split into exactly nb
 // near-equal blocks, b in [0, nb); nb is clamped to [1, hi-lo]. Use it with
 // a count captured from NumBlocks when per-block outputs are allocated
-// before the loop: unlike Blocks/BlocksIndexed, the partition is pinned by
-// the caller, so it cannot shift if GOMAXPROCS changes between the
-// allocation and the loop.
-func BlocksN(lo, hi, nb int, body func(b, lo, hi int)) {
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	if nb < 1 {
-		nb = 1
-	}
-	if nb > n {
-		nb = n
-	}
-	runBlocks(lo, hi, nb, body)
-}
-
-func runBlocks(lo, hi, nb int, body func(b, lo, hi int)) {
-	if nb == 1 || MaxProcs() == 1 {
-		for b := 0; b < nb; b++ {
-			s, e := chunkBounds(lo, hi, b, nb)
-			body(b, s, e)
-		}
-		return
-	}
-	runLoop(nb, func(b int) {
-		s, e := chunkBounds(lo, hi, b, nb)
-		body(b, s, e)
-	})
-}
+// before the loop: unlike Blocks, the partition is pinned by the caller,
+// so it cannot shift if GOMAXPROCS changes between the allocation and the
+// loop.
+func BlocksN(lo, hi, nb int, body func(b, lo, hi int)) { BlocksNCancel(lo, hi, nb, nil, body) }
 
 // Do runs the given functions concurrently and waits for all of them.
 // It is the fork-join "par" combinator. The caller participates, so Do is
@@ -179,12 +121,11 @@ func Do(fns ...func()) {
 		fns[0]()
 		return
 	}
-	runLoop(len(fns), func(c int) { fns[c]() })
+	runLoop(len(fns), nil, func(c int) { fns[c]() })
 }
 
-// NumBlocks reports how many blocks Blocks (and BlocksIndexed) create for n
-// items with the given grain. Exposed for preallocating per-block result
-// slices.
+// NumBlocks reports how many blocks Blocks creates for n items with the
+// given grain. Exposed for preallocating per-block result slices.
 func NumBlocks(n, grain int) int {
 	return chunksFor(n, grain)
 }

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"math"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -95,47 +94,6 @@ func TestReduceOrderSensitive(t *testing.T) {
 	}
 }
 
-func TestMinIndexFunc(t *testing.T) {
-	xs := []int{5, 3, 9, 3, 7}
-	idx, ok := MinIndexFunc(0, len(xs), func(i int) bool { return true }, func(i int) int { return xs[i] })
-	if !ok || idx != 1 {
-		t.Fatalf("idx=%d ok=%v, want 1 true (ties break left)", idx, ok)
-	}
-	idx, ok = MinIndexFunc(0, len(xs), func(i int) bool { return xs[i] > 100 }, func(i int) int { return xs[i] })
-	if ok {
-		t.Fatalf("expected no match, got idx=%d", idx)
-	}
-}
-
-func TestFirstIndex(t *testing.T) {
-	n := 100000
-	if got := FirstIndex(0, n, func(i int) bool { return i >= 54321 }); got != 54321 {
-		t.Fatalf("FirstIndex = %d, want 54321", got)
-	}
-	if got := FirstIndex(0, n, func(i int) bool { return false }); got != n {
-		t.Fatalf("FirstIndex no-match = %d, want %d", got, n)
-	}
-}
-
-func TestMinMaxCountAnyAll(t *testing.T) {
-	xs := []int{4, -2, 7, 0}
-	if m := MinFunc(0, len(xs), func(i int) int { return xs[i] }); m != -2 {
-		t.Fatalf("min=%d", m)
-	}
-	if m := MaxFunc(0, len(xs), func(i int) int { return xs[i] }); m != 7 {
-		t.Fatalf("max=%d", m)
-	}
-	if c := Count(0, len(xs), func(i int) bool { return xs[i] > 0 }); c != 2 {
-		t.Fatalf("count=%d", c)
-	}
-	if !Any(0, len(xs), func(i int) bool { return xs[i] == 7 }) {
-		t.Fatal("Any failed")
-	}
-	if All(0, len(xs), func(i int) bool { return xs[i] > 0 }) {
-		t.Fatal("All should be false")
-	}
-}
-
 func TestScanExclusive(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 1000, 65536} {
 		xs := make([]int, n)
@@ -207,8 +165,8 @@ func TestPack(t *testing.T) {
 }
 
 func TestPackInto(t *testing.T) {
-	// Equivalence with Pack across sizes, including reuse of dst and
-	// counts round over round.
+	// Equivalence with a sequential filter across sizes, including reuse
+	// of dst and counts round over round.
 	var dst []uint64
 	var counts []int
 	for _, n := range []int{0, 1, 5, 100, 4096, 100000} {
@@ -217,7 +175,12 @@ func TestPackInto(t *testing.T) {
 			xs[i] = uint64(i * 7)
 		}
 		keep := func(i int) bool { return xs[i]%3 == 0 }
-		want := Pack(xs, keep)
+		var want []uint64
+		for i, x := range xs {
+			if keep(i) {
+				want = append(want, x)
+			}
+		}
 		dst, counts = PackInto(dst, xs, keep, counts)
 		if len(dst) != len(want) {
 			t.Fatalf("n=%d: len=%d want %d", n, len(dst), len(want))
@@ -250,32 +213,6 @@ func TestPackIntoSteadyStateAllocs(t *testing.T) {
 	// multi-worker runs), never O(n).
 	if allocs > 16 {
 		t.Fatalf("PackInto allocs/op = %v, want O(1) <= 16 (GOMAXPROCS=%d)", allocs, MaxProcs())
-	}
-}
-
-func TestPackIndexAndFilter(t *testing.T) {
-	idx := PackIndex(10, func(i int) bool { return i%3 == 0 })
-	want := []int{0, 3, 6, 9}
-	if len(idx) != len(want) {
-		t.Fatalf("got %v", idx)
-	}
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("got %v want %v", idx, want)
-		}
-	}
-	fs := Filter([]string{"a", "bb", "c", "ddd"}, func(s string) bool { return len(s) == 1 })
-	if len(fs) != 2 || fs[0] != "a" || fs[1] != "c" {
-		t.Fatalf("filter got %v", fs)
-	}
-}
-
-func TestMap(t *testing.T) {
-	sq := Map(6, func(i int) int { return i * i })
-	for i, v := range sq {
-		if v != i*i {
-			t.Fatalf("map[%d]=%d", i, v)
-		}
 	}
 }
 
@@ -324,24 +261,5 @@ func TestPriorityCellZeroPriority(t *testing.T) {
 	}
 	if p, ok := c.Load(); !ok || p != 0 {
 		t.Fatalf("load=(%d,%v) want (0,true)", p, ok)
-	}
-}
-
-func TestMinInt64(t *testing.T) {
-	var a atomic.Int64
-	a.Store(100)
-	For(0, 1000, func(i int) { MinInt64(&a, int64(1000-i)) })
-	if a.Load() != 1 {
-		t.Fatalf("atomic min = %d, want 1", a.Load())
-	}
-}
-
-func TestMinFloat64Bits(t *testing.T) {
-	var a atomic.Uint64
-	a.Store(InfBits)
-	For(0, 100, func(i int) { MinFloat64Bits(&a, float64(i)+0.5) })
-	got := math.Float64frombits(a.Load())
-	if got != 0.5 {
-		t.Fatalf("atomic float min = %v, want 0.5", got)
 	}
 }

@@ -179,11 +179,12 @@ type loopTask struct {
 	panicVal any
 }
 
-func newLoopTask(nchunks int, body func(chunk int)) *loopTask {
+func newLoopTask(nchunks int, c *Canceler, body func(chunk int)) *loopTask {
 	t := &loopTask{
-		body:  body,
-		slots: make([]rangeSlot, MaxProcs()),
-		done:  make(chan struct{}),
+		body:   body,
+		cancel: c,
+		slots:  make([]rangeSlot, MaxProcs()),
+		done:   make(chan struct{}),
 	}
 	t.pending.Store(int64(nchunks))
 	// All chunks start in the submitter's lane: work distributes by
@@ -475,48 +476,23 @@ func (p *pool) worker() {
 // runLoop executes body(0..nchunks-1) on the pool with the caller
 // participating on lane 0, propagating the first panic to the caller.
 // nchunks must already be bounded (callers derive it from chunksFor or
-// len(fns)).
-func runLoop(nchunks int, body func(chunk int)) {
-	if nchunks <= 0 {
-		return
-	}
-	if nchunks == 1 || MaxProcs() == 1 {
-		for c := 0; c < nchunks; c++ {
-			body(c)
-		}
-		return
-	}
-	for nchunks > maxRangeChunks {
-		runLoop(maxRangeChunks, body)
-		off := maxRangeChunks
-		rest := body
-		body = func(c int) { rest(off + c) }
-		nchunks -= maxRangeChunks
-	}
-	t := newLoopTask(nchunks, body)
-	runTask(t)
-}
-
-// runLoopCancel is runLoop with a cancellation token threaded into the
-// task: participants stop claiming and drain once c cancels. The caller's
-// contract (partial progress, ErrCanceled at exit) lives in the public
-// wrappers; here cancellation only affects how much of the loop runs.
-// Panics still propagate with their original value even when canceled.
-func runLoopCancel(nchunks int, c *Canceler, body func(chunk int)) {
+// len(fns)). Participants stop claiming and drain once c cancels; a nil c
+// never cancels. The caller's contract (partial progress, ErrCanceled at
+// exit) lives in the public wrappers: here cancellation only affects how
+// much of the loop runs, and panics still propagate with their original
+// value even when canceled.
+func runLoop(nchunks int, c *Canceler, body func(chunk int)) {
 	if nchunks <= 0 || c.Canceled() {
 		return
 	}
 	if nchunks == 1 || MaxProcs() == 1 {
-		for ch := 0; ch < nchunks; ch++ {
-			if c.Canceled() {
-				return
-			}
+		for ch := 0; ch < nchunks && !c.Canceled(); ch++ {
 			body(ch)
 		}
 		return
 	}
 	for nchunks > maxRangeChunks {
-		runLoopCancel(maxRangeChunks, c, body)
+		runLoop(maxRangeChunks, c, body)
 		if c.Canceled() {
 			return
 		}
@@ -525,9 +501,7 @@ func runLoopCancel(nchunks int, c *Canceler, body func(chunk int)) {
 		body = func(ch int) { rest(off + ch) }
 		nchunks -= maxRangeChunks
 	}
-	t := newLoopTask(nchunks, body)
-	t.cancel = c
-	runTask(t)
+	runTask(newLoopTask(nchunks, c, body))
 }
 
 // runTask publishes t, participates until nothing is claimable, and waits

@@ -83,13 +83,15 @@ func (m *chSpinLike) lock() {
 }
 func (m *chSpinLike) unlock() { m.v.Store(false) }
 
+// TestBlocksIndexed checks the grain-derived partition: BlocksN at a
+// NumBlocks count invokes every block index exactly once.
 func TestBlocksIndexed(t *testing.T) {
 	withProcs(t, 4)
 	n := 100000
 	nb := NumBlocks(n, 16)
 	seen := make([]int64, nb)
 	var covered atomic.Int64
-	BlocksIndexed(0, n, 16, func(b, lo, hi int) {
+	BlocksN(0, n, nb, func(b, lo, hi int) {
 		atomic.AddInt64(&seen[b], 1)
 		covered.Add(int64(hi - lo))
 	})

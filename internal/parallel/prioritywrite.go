@@ -1,9 +1,6 @@
 package parallel
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // A PriorityCell is a CRCW "priority-write" memory cell: concurrent writers
 // each present a priority (an iteration index in the paper's algorithms) and
@@ -45,36 +42,3 @@ func (c *PriorityCell) Load() (pri int64, ok bool) {
 
 // Reset empties the cell.
 func (c *PriorityCell) Reset() { c.v.Store(0) }
-
-// MinInt64 atomically lowers *addr to x if x is smaller. It is the
-// arbitrary-CRCW "write-min" used for combining distances in LE-lists.
-func MinInt64(addr *atomic.Int64, x int64) {
-	for {
-		cur := addr.Load()
-		if cur <= x {
-			return
-		}
-		if addr.CompareAndSwap(cur, x) {
-			return
-		}
-	}
-}
-
-// MinFloat64Bits atomically lowers a float64 stored as ordered uint64 bits.
-// Values must be non-negative (the transform used is order-preserving only
-// for non-negative floats, which suffices for distances).
-func MinFloat64Bits(addr *atomic.Uint64, x float64) {
-	bits := math.Float64bits(x)
-	for {
-		cur := addr.Load()
-		if math.Float64frombits(cur) <= x {
-			return
-		}
-		if addr.CompareAndSwap(cur, bits) {
-			return
-		}
-	}
-}
-
-// InfBits is the bit pattern of +Inf, the identity for MinFloat64Bits.
-var InfBits = math.Float64bits(math.Inf(1))

@@ -41,7 +41,7 @@ func Reduce[T any](lo, hi int, identity T, f func(i int) T, op func(a, b T) T) T
 		return acc
 	}
 	partial := make([]T, nb)
-	runLoop(nb, func(b int) {
+	runLoop(nb, nil, func(b int) {
 		s, e := chunkBounds(lo, hi, b, nb)
 		acc := identity
 		for i := s; i < e; i++ {
@@ -61,95 +61,4 @@ func SumFunc[T Number](lo, hi int, f func(i int) T) T {
 // Sum returns the sum of the elements of xs.
 func Sum[T Number](xs []T) T {
 	return SumFunc(0, len(xs), func(i int) T { return xs[i] })
-}
-
-// MinIndexFunc returns the smallest index i in [lo, hi) for which
-// keep(i) is true and key(i) is minimal, breaking ties toward the smaller
-// index. ok is false when no index satisfies keep.
-//
-// This is the "find first special iteration" primitive of the paper's Type 2
-// runner (Algorithm 1, line 7) and the min(E(t)) selection of Algorithm 5.
-func MinIndexFunc[K Number](lo, hi int, keep func(i int) bool, key func(i int) K) (idx int, ok bool) {
-	type cand struct {
-		idx int
-		ok  bool
-	}
-	res := Reduce(lo, hi, cand{-1, false},
-		func(i int) cand { return cand{i, keep(i)} },
-		func(a, b cand) cand {
-			if !a.ok {
-				return b
-			}
-			if !b.ok {
-				return a
-			}
-			ka, kb := key(a.idx), key(b.idx)
-			if ka < kb || (ka == kb && a.idx < b.idx) {
-				return a
-			}
-			return b
-		})
-	return res.idx, res.ok
-}
-
-// FirstIndex returns the smallest i in [lo, hi) with pred(i) true, or hi
-// if none. It delegates to ReduceMinIndex (indices must be non-negative),
-// so predicates that cannot win the reservation may be skipped; pred must
-// be safe for concurrent use and must not mutate shared state.
-func FirstIndex(lo, hi int, pred func(i int) bool) int {
-	idx, ok := ReduceMinIndex(lo, hi, 0, pred)
-	if !ok {
-		return hi
-	}
-	return idx
-}
-
-// MaxFunc returns the maximum of f over [lo, hi); zero value if empty.
-func MaxFunc[T Number](lo, hi int, f func(i int) T) T {
-	if hi <= lo {
-		var zero T
-		return zero
-	}
-	first := f(lo)
-	return Reduce(lo+1, hi, first, f, func(a, b T) T {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-// MinFunc returns the minimum of f over [lo, hi); zero value if empty.
-func MinFunc[T Number](lo, hi int, f func(i int) T) T {
-	if hi <= lo {
-		var zero T
-		return zero
-	}
-	first := f(lo)
-	return Reduce(lo+1, hi, first, f, func(a, b T) T {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
-
-// Count returns the number of i in [lo, hi) with pred(i) true.
-func Count(lo, hi int, pred func(i int) bool) int {
-	return SumFunc(lo, hi, func(i int) int {
-		if pred(i) {
-			return 1
-		}
-		return 0
-	})
-}
-
-// Any reports whether pred holds for any i in [lo, hi).
-func Any(lo, hi int, pred func(i int) bool) bool {
-	return Count(lo, hi, pred) > 0
-}
-
-// All reports whether pred holds for every i in [lo, hi).
-func All(lo, hi int, pred func(i int) bool) bool {
-	return Count(lo, hi, pred) == hi-lo
 }

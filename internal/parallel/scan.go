@@ -83,7 +83,7 @@ func ScanExclusive[T any](xs []T, identity T, op func(a, b T) T) T {
 	}
 	sums := make([]T, nb)
 	// Pass 1: block sums.
-	runLoop(nb, func(b int) {
+	runLoop(nb, nil, func(b int) {
 		s, e := chunkBounds(0, n, b, nb)
 		acc := identity
 		for i := s; i < e; i++ {
@@ -93,7 +93,7 @@ func ScanExclusive[T any](xs []T, identity T, op func(a, b T) T) T {
 	})
 	total := scanSums(sums, identity, op)
 	// Pass 2: local scans seeded with the block offset.
-	runLoop(nb, func(b int) {
+	runLoop(nb, nil, func(b int) {
 		s, e := chunkBounds(0, n, b, nb)
 		acc := sums[b]
 		for i := s; i < e; i++ {
@@ -116,32 +116,7 @@ func PrefixSums[T Number](counts []T) T {
 // preserving order. It implements the PRAM compaction step used throughout
 // the paper's parallel algorithms (processor allocation and compaction).
 func Pack[T any](xs []T, flag func(i int) bool) []T {
-	n := len(xs)
-	if n == 0 {
-		return nil
-	}
-	nb := NumBlocks(n, 0)
-	counts := make([]int, nb)
-	BlocksN(0, n, nb, func(b, lo, hi int) {
-		c := 0
-		for i := lo; i < hi; i++ {
-			if flag(i) {
-				c++
-			}
-		}
-		counts[b] = c
-	})
-	total := PrefixSums(counts)
-	out := make([]T, total)
-	BlocksN(0, n, nb, func(b, lo, hi int) {
-		pos := counts[b]
-		for i := lo; i < hi; i++ {
-			if flag(i) {
-				out[pos] = xs[i]
-				pos++
-			}
-		}
-	})
+	out, _ := PackInto(nil, xs, flag, nil)
 	return out
 }
 
@@ -196,53 +171,4 @@ func PackInto[T any](dst []T, xs []T, keep func(i int) bool, counts []int) ([]T,
 		}
 	})
 	return dst, counts
-}
-
-// PackIndex returns, in order, the indices i in [0, n) with flag(i) true.
-func PackIndex(n int, flag func(i int) bool) []int {
-	if n == 0 {
-		return nil
-	}
-	nb := NumBlocks(n, 0)
-	counts := make([]int, nb)
-	BlocksN(0, n, nb, func(b, lo, hi int) {
-		c := 0
-		for i := lo; i < hi; i++ {
-			if flag(i) {
-				c++
-			}
-		}
-		counts[b] = c
-	})
-	total := PrefixSums(counts)
-	out := make([]int, total)
-	BlocksN(0, n, nb, func(b, lo, hi int) {
-		pos := counts[b]
-		for i := lo; i < hi; i++ {
-			if flag(i) {
-				out[pos] = i
-				pos++
-			}
-		}
-	})
-	return out
-}
-
-// Filter returns the elements of xs satisfying pred, in order.
-func Filter[T any](xs []T, pred func(x T) bool) []T {
-	return Pack(xs, func(i int) bool { return pred(xs[i]) })
-}
-
-// FlattenCounts turns a per-producer count slice into offsets (exclusive
-// prefix sums) and returns the total, a common pattern when parallel
-// producers each emit a variable number of results into a shared output.
-func FlattenCounts(counts []int) int {
-	return PrefixSums(counts)
-}
-
-// Map applies f to each element index of a fresh slice of length n.
-func Map[T any](n int, f func(i int) T) []T {
-	out := make([]T, n)
-	For(0, n, func(i int) { out[i] = f(i) })
-	return out
 }
